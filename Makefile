@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build falcon-vet falcon-vet-diff vet-fix test race bench scale
+.PHONY: check fmt vet build falcon-vet falcon-vet-diff vet-fix test race bench-smoke bench scale
 
-check: fmt vet build falcon-vet test race
+check: fmt vet build falcon-vet test race bench-smoke
 	@echo "all gates passed"
 
 fmt:
@@ -46,27 +46,27 @@ race:
 	$(GO) test -race ./internal/service/... ./internal/mapreduce/... ./internal/core/... ./internal/serve/...
 	$(GO) test -race -run 'TestParallelByteIdentical|TestVetEquality|TestSiblingLockCycle|TestCacheInvalidationMatrix|TestDiffMode' ./internal/analysis/
 
-# bench records the executor worker-pool benchmark (speedup needs >1 CPU),
-# the blocking hot-path benchmarks (bit-parallel kernels vs the sorted-merge
-# ID baseline vs the retired string reference path, plus the simfn
-# set/edit-distance kernel microbenchmarks), the falcon-vet whole-tree
-# benchmark (the pre-flow suite, the flow-sensitive layer, the
-# publish-then-freeze layer, the out-of-core layer, and all fifteen
-# analyzers over the module, loading amortized), and the serving
-# point-lookup benchmark (QPS, p99 latency, allocs per request).
+# bench-smoke vets and smoke-tests the repository benchmark (bash
+# benchmark/run.sh, BENCHMARK.json). It is a nested module, outside
+# `go build ./... && go test ./...`, and it imports falcon/internal/..., so
+# this is the gate that notices an internal-API change breaking the gate
+# program. About 10 s; no wall-clock assertion.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# bench records the executor worker-pool benchmark (speedup needs >1 CPU)
+# and the falcon-vet whole-tree benchmark (the pre-flow suite, the
+# flow-sensitive layer, the publish-then-freeze layer, the out-of-core
+# layer, and all fifteen analyzers over the module, loading amortized). The
+# blocking and serving hot paths are measured end to end and layer by layer
+# by the repository benchmark instead (benchmark/README.md).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkExecutorWorkers -benchmem -json \
 		./internal/mapreduce/ > BENCH_executor.json
 	@echo "wrote BENCH_executor.json"
-	$(GO) test -run '^$$' -bench 'BenchmarkBlocking$$|BenchmarkVectorize$$|BenchmarkPrefixProbe$$|BenchmarkJaccardKernels$$|BenchmarkEditDistanceKernels$$' \
-		-benchmem -json ./internal/block/ ./internal/feature/ ./internal/index/ ./internal/simfn/ > BENCH_blocking.json
-	@echo "wrote BENCH_blocking.json"
 	$(GO) test -run '^$$' -bench 'BenchmarkVetTree$$' -benchmem -json \
 		./internal/analysis/ > BENCH_vet.json
 	@echo "wrote BENCH_vet.json"
-	$(GO) test -run '^$$' -bench 'BenchmarkServeMatchOne$$' -benchmem -json \
-		./internal/serve/ > BENCH_serve.json
-	@echo "wrote BENCH_serve.json"
 
 # scale runs the CI-optional out-of-core long gate: a datagen 1M×1M Songs
 # workload executed in-memory and spilled (results must be byte-identical),

@@ -24,7 +24,16 @@
 //
 // train pays the crowd once and freezes everything matching needs into a
 // versioned artifact file; serve loads it and answers point lookups with no
-// crowd, no training, and no locks on the hot path.
+// crowd, no training, and no locks on the hot path. serve is also the EM
+// cloud service daemon of Example 1 — the one server main: every HTTP route
+// (job submission, artifact build/download/hot-swap, point matching) is up
+// whether or not an artifact was given.
+//
+//	falcon serve -addr :8080 -job-timeout 30m
+//	curl -F tableA=@a.csv -F tableB=@b.csv -F oracle_key=isbn \
+//	     -F budget=300 http://localhost:8080/jobs
+//	curl http://localhost:8080/jobs/job-1
+//	curl http://localhost:8080/jobs/job-1/matches
 package main
 
 import (
@@ -261,18 +270,25 @@ func runTrain(args []string) error {
 	return nil
 }
 
-// runServe is the serve phase: load a frozen artifact and answer
-// POST /match/one point lookups over HTTP — no crowd, no training.
+// runServe runs the HTTP service: job submission and the artifact lifecycle
+// are always available; with -artifact the frozen artifact is published at
+// boot, so POST /match/one answers point lookups immediately — no crowd, no
+// training.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("falcon serve", flag.ExitOnError)
 	var (
-		addr    = fs.String("addr", ":8080", "listen address")
-		artPath = fs.String("artifact", "", "artifact file written by `falcon train` (optional; server starts empty and accepts PUT /artifacts/current)")
+		addr       = fs.String("addr", ":8080", "listen address")
+		artPath    = fs.String("artifact", "", "artifact file written by `falcon train` (optional; server starts empty and accepts PUT /artifacts/current)")
+		jobTimeout = fs.Duration("job-timeout", 0, "cancel POST /jobs runs lasting longer than this (0 = no limit)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	srv := service.New()
+	var opts []service.Option
+	if *jobTimeout > 0 {
+		opts = append(opts, service.WithJobTimeout(*jobTimeout))
+	}
+	srv := service.New(opts...)
 	if *artPath != "" {
 		f, err := os.Open(*artPath)
 		if err != nil {
@@ -295,7 +311,7 @@ func runServe(args []string) error {
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	log.Printf("falcon serving on %s (POST /match/one)", *addr)
+	log.Printf("falcon EM service listening on %s", *addr)
 	return hs.ListenAndServe()
 }
 

@@ -178,8 +178,8 @@ func (r *Report) Model() []byte { return r.modelJSON }
 
 // SaveArtifact writes the run's complete serving artifact — model, frozen B
 // table, token dictionaries, corpus statistics, and prefix indexes — in the
-// versioned binary format that `falcon serve` and the falcon-server artifact
-// endpoints load. Returns an error if the run learned no matcher.
+// versioned binary format that `falcon serve` (at boot, or through its
+// artifact endpoints) loads. Returns an error if the run learned no matcher.
 func (r *Report) SaveArtifact(w io.Writer) error {
 	if r.artifact == nil {
 		return fmt.Errorf("falcon: run learned no matcher; no artifact to save")

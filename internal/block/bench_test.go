@@ -13,11 +13,8 @@ import (
 
 // blockingBenchInput builds the full blocking stack over the synthetic
 // Products dataset: generated features, a realistic two-rule sequence,
-// filter analysis, and warm indexes. reference selects the retired
-// string-based probe/vector path and idsOnly pins the sorted-merge ID
-// kernels, so `-bench BenchmarkBlocking` reports the retired string path,
-// the PR-3 merge baseline, and the bit-parallel default from one binary.
-func blockingBenchInput(b *testing.B, reference, idsOnly bool) *Input {
+// filter analysis, and warm indexes.
+func blockingBenchInput(b *testing.B) *Input {
 	b.Helper()
 	ds := datagen.Products(0.05, 3)
 	set := feature.Generate(ds.A, ds.B)
@@ -43,13 +40,10 @@ func blockingBenchInput(b *testing.B, reference, idsOnly bool) *Input {
 	}
 	an := filters.Analyze(rules.ToCNF(seq), feats)
 	ix := filters.NewIndexes(mapreduce.Default(), ds.A)
-	ix.Reference = reference
 	if _, err := ix.EnsureAll(context.Background(), an.NeededIndexes()); err != nil {
 		b.Fatal(err)
 	}
 	vz := feature.NewVectorizer(set, ds.A, ds.B)
-	vz.Reference = reference
-	vz.IDsOnly = idsOnly
 	vz.Warm()
 	return &Input{
 		A: ds.A, B: ds.B,
@@ -61,31 +55,21 @@ func blockingBenchInput(b *testing.B, reference, idsOnly bool) *Input {
 }
 
 // BenchmarkBlocking measures end-to-end apply_blocking_rules throughput
-// (probe + rule evaluation through the in-process engine) on the
-// bit-parallel default versus the sorted-merge ID baseline and the retired
-// string path.
+// (probe + rule evaluation through the in-process engine).
 func BenchmarkBlocking(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		reference bool
-		idsOnly   bool
-	}{{"reference", true, false}, {"ids", false, true}, {"bitparallel", false, false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			in := blockingBenchInput(b, mode.reference, mode.idsOnly)
-			cluster := mapreduce.Default()
-			ctx := context.Background()
-			// One untimed run warms every column cache and index.
-			if _, err := Run(ctx, cluster, in, ApplyAll); err != nil {
-				b.Fatal(err)
-			}
-			crossSize := float64(in.A.Len()) * float64(in.B.Len())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(ctx, cluster, in, ApplyAll); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(crossSize*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
+	in := blockingBenchInput(b)
+	cluster := mapreduce.Default()
+	ctx := context.Background()
+	// One untimed run warms every column cache and index.
+	if _, err := Run(ctx, cluster, in, ApplyAll); err != nil {
+		b.Fatal(err)
 	}
+	crossSize := float64(in.A.Len()) * float64(in.B.Len())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(ctx, cluster, in, ApplyAll); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(crossSize*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
 }

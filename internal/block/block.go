@@ -310,53 +310,79 @@ func (in *Input) runIntersect(ctx context.Context, cluster *mapreduce.Cluster, s
 		clausePos[ci] = uint(i)
 	}
 
-	// Build the pass records: (clause, predicate, bRow). predicate = -1
-	// probes the whole clause at once (ApplyConjunct).
-	type rec struct {
+	// One pass per conjunct, or per predicate of each conjunct: the walker
+	// restricted to that clause, or to a one-predicate clause of its own.
+	type pass struct {
 		clause int
-		pred   int
-		bRow   int
+		an     *filters.Analysis
+		use    []int
 	}
-	var recs []rec
+	var passes []pass
 	for _, ci := range filterable {
-		if perPredicate {
-			for pi := range in.Analysis.Clauses[ci].Preds {
-				for b := 0; b < in.B.Len(); b++ {
-					recs = append(recs, rec{ci, pi, b})
-				}
-			}
-		} else {
-			for b := 0; b < in.B.Len(); b++ {
-				recs = append(recs, rec{ci, -1, b})
-			}
+		if !perPredicate {
+			passes = append(passes, pass{ci, in.Analysis, []int{ci}})
+			continue
+		}
+		for _, bp := range in.Analysis.Clauses[ci].Preds {
+			only := filters.ClauseInfo{Preds: []filters.BoundPred{bp}, Filterable: true}
+			passes = append(passes, pass{ci, &filters.Analysis{Clauses: []filters.ClauseInfo{only}}, nil})
 		}
 	}
+	// The pass records are (pass, bRow), split evenly across map tasks; each
+	// task's share is then regrouped into one stripe record per pass, so the
+	// batched probe path amortizes its sessions and buffers across the stripe.
+	// As in runClausePass, the Map compensates the engine's one cost unit per
+	// record with len(rows)-1, keeping SimTime byte-identical with the
+	// per-row record shape.
+	type rec struct{ pass, bRow int }
+	recs := make([]rec, 0, len(passes)*in.B.Len())
+	for pi := range passes {
+		for b := 0; b < in.B.Len(); b++ {
+			recs = append(recs, rec{pi, b})
+		}
+	}
+	type stripe struct {
+		pass int
+		rows []int
+	}
+	var splits [][]stripe
+	for _, share := range mapreduce.SplitSlice(recs, cluster.Slots()*4) {
+		rows := make([]int, len(share))
+		for i, r := range share {
+			rows[i] = r.bRow
+		}
+		var task []stripe
+		for start, i := 0, 1; i <= len(share); i++ {
+			if i == len(share) || share[i].pass != share[start].pass {
+				task = append(task, stripe{share[start].pass, rows[start:i]})
+				start = i
+			}
+		}
+		splits = append(splits, task)
+	}
 
-	job := mapreduce.Job[rec, int64, int32, table.Pair]{
+	job := mapreduce.Job[stripe, int64, int32, table.Pair]{
 		Name:   "apply-blocking-rules/" + s.String(),
 		Sink:   sink,
-		Splits: mapreduce.SplitSlice(recs, cluster.Slots()*4),
-		Map: func(r rec, ctx *mapreduce.MapCtx[int64, int32]) {
-			var cands []int32
-			var all bool
-			var cost int64
-			if r.pred >= 0 {
-				cands, all, cost = in.Indexes.PredCandidates(in.Analysis.Clauses[r.clause].Preds[r.pred], in.B, r.bRow)
-			} else {
-				cands, all, cost = in.Indexes.ClauseCandidates(in.Analysis.Clauses[r.clause], in.B, r.bRow)
-			}
-			ctx.AddCost(cost)
-			if all {
-				for a := 0; a < in.A.Len(); a++ {
-					ctx.Emit(pairKey(int32(a), int32(r.bRow)), int32(r.clause))
+		Splits: splits,
+		Map: func(st stripe, ctx *mapreduce.MapCtx[int64, int32]) {
+			ps := passes[st.pass]
+			ctx.AddCost(int64(len(st.rows)) - 1)
+			in.Indexes.RuleCandidatesBatch(ps.an, ps.use, in.B, st.rows, func(i int, cands []int32, all bool, cost int64) {
+				bRow := int32(st.rows[i])
+				ctx.AddCost(cost)
+				if all {
+					for a := 0; a < in.A.Len(); a++ {
+						ctx.Emit(pairKey(int32(a), bRow), int32(ps.clause))
+						ctx.AddCost(bw)
+					}
+					return
+				}
+				for _, aid := range cands {
+					ctx.Emit(pairKey(aid, bRow), int32(ps.clause))
 					ctx.AddCost(bw)
 				}
-				return
-			}
-			for _, aid := range cands {
-				ctx.Emit(pairKey(aid, int32(r.bRow)), int32(r.clause))
-				ctx.AddCost(bw)
-			}
+			})
 		},
 		Reduce: func(key int64, clauses []int32, ctx *mapreduce.ReduceCtx[table.Pair]) {
 			// Distinct clauses that produced this pair must cover every

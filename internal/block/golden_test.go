@@ -3,6 +3,7 @@ package block
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"falcon/internal/feature"
@@ -12,19 +13,21 @@ import (
 	"falcon/internal/table"
 )
 
-// The dictionary-encoded token pipeline and the bit-parallel kernels must be
-// invisible in every output: candidate pairs, feature vectors, modeled
-// SimTime, and engine counters have to match the retired string-based path
-// bit for bit, for every physical operator and any worker count. These
-// golden tests prove it by running each strategy under six configurations —
-// bit-parallel path (the default), sorted-merge ID path (IDsOnly), and
-// reference path, each at Workers=1 and Workers=8 — and deep-comparing the
-// results. (Plan-template coverage lives in core's worker-invariance tests,
-// which run both Figure-3 templates end-to-end on the default path.)
+// The dictionary-encoded token pipeline, the bit-parallel kernels and the
+// batched candidate walker must be invisible in every output. These golden
+// tests hold the one production path to oracles that share none of its
+// machinery: feature vectors must equal Feature.Eval on the raw cell values
+// bit for bit, and every physical operator, at any worker count, must
+// produce exactly the pairs a brute-force scan of A×B keeps when the CNF is
+// evaluated on those oracle values — with modeled SimTime and the engine
+// counters independent of the worker count. (Probe candidates and lookup
+// counts are held to index.ReferenceProbe in the filters and index tests;
+// plan-template coverage lives in core's worker-invariance tests.)
 
-// goldenInput builds a fresh Input over shared tables so per-config column
-// caches cannot leak between the reference and ID paths.
-func goldenInput(t *testing.T, a, b *table.Table, set *feature.Set, reference, idsOnly bool) *Input {
+// goldenInput builds a fresh Input over shared tables so column caches
+// cannot leak between runs. The rule sequence's CNF has a predicate of every
+// filter kind plus one unfilterable clause.
+func goldenInput(t *testing.T, a, b *table.Table, set *feature.Set) *Input {
 	t.Helper()
 	feats := make([]*feature.Feature, len(set.BlockingIdx))
 	for i, idx := range set.BlockingIdx {
@@ -45,111 +48,102 @@ func goldenInput(t *testing.T, a, b *table.Table, set *feature.Set, reference, i
 			{Feature: pos("exact_match(year)"), Op: rules.LE, Value: 0.5},
 			{Feature: pos("abs_diff(price)"), Op: rules.GE, Value: 15},
 		}},
+		{ID: 2, Preds: []rules.Predicate{
+			{Feature: pos("levenshtein(year)"), Op: rules.LT, Value: 0.7},
+			{Feature: pos("rel_diff(price)"), Op: rules.GT, Value: 0.5},
+		}},
+		{ID: 3, Preds: []rules.Predicate{{Feature: pos("jaccard_word(title)"), Op: rules.GT, Value: 0.95}}},
 	}
 	an := filters.Analyze(rules.ToCNF(seq), feats)
 	ix := filters.NewIndexes(mapreduce.Default(), a)
-	ix.Reference = reference
 	if _, err := ix.EnsureAll(context.Background(), an.NeededIndexes()); err != nil {
 		t.Fatal(err)
 	}
-	vz := feature.NewVectorizer(set, a, b)
-	vz.Reference = reference
-	vz.IDsOnly = idsOnly
 	return &Input{
 		A: a, B: b,
 		Analysis:   an,
 		Indexes:    ix,
-		Vectorizer: vz,
-		ClauseSel:  []float64{0.3, 0.7},
+		Vectorizer: feature.NewVectorizer(set, a, b),
+		ClauseSel:  []float64{0.3, 0.7, 0.8, 0.99},
 	}
+}
+
+// bruteForcePairs scans A×B, evaluating the CNF on blocking vectors computed
+// by Feature.Eval from the raw cells.
+func bruteForcePairs(in *Input) []table.Pair {
+	var out []table.Pair
+	vals := make([]float64, len(in.Analysis.Feats))
+	for ai := 0; ai < in.A.Len(); ai++ {
+		for bi := 0; bi < in.B.Len(); bi++ {
+			for k, f := range in.Analysis.Feats {
+				vals[k] = f.Eval(in.A.Value(ai, f.ACol), in.B.Value(bi, f.BCol))
+			}
+			if in.Analysis.CNF.Keep(vals) {
+				out = append(out, table.Pair{A: ai, B: bi})
+			}
+		}
+	}
+	return out
 }
 
 func TestGoldenStringVsIDPathAllStrategies(t *testing.T) {
 	a, bt := mkTables(120, 80, 11)
 	set := feature.Generate(a, bt)
-	configs := []struct {
-		name      string
-		reference bool
-		idsOnly   bool
-		workers   int
-	}{
-		{"bitparallel-w1", false, false, 1},
-		{"bitparallel-w8", false, false, 8},
-		{"idsonly-w1", false, true, 1},
-		{"idsonly-w8", false, true, 8},
-		{"reference-w1", true, false, 1},
-		{"reference-w8", true, false, 8},
+	want := bruteForcePairs(goldenInput(t, a, bt, set))
+	if len(want) == 0 || len(want) == a.Len()*bt.Len() {
+		t.Fatalf("degenerate fixture: brute force keeps %d of %d pairs", len(want), a.Len()*bt.Len())
 	}
 	for _, s := range []Strategy{ApplyAll, ApplyGreedy, ApplyConjunct, ApplyPredicate, MapSide, ReduceSplit} {
 		var base *Result
-		var baseName string
-		for _, cfg := range configs {
-			in := goldenInput(t, a, bt, set, cfg.reference, cfg.idsOnly)
+		for _, workers := range []int{1, 8} {
 			cluster := mapreduce.Default()
-			cluster.Workers = cfg.workers
-			res, err := Run(context.Background(), cluster, in, s)
+			cluster.Workers = workers
+			res, err := Run(context.Background(), cluster, goldenInput(t, a, bt, set), s)
 			if err != nil {
-				t.Fatalf("%v/%s: %v", s, cfg.name, err)
+				t.Fatalf("%v/w%d: %v", s, workers, err)
+			}
+			if !slices.Equal(res.Pairs, want) {
+				t.Fatalf("%v/w%d: %d pairs, brute force over Feature.Eval keeps %d", s, workers, len(res.Pairs), len(want))
 			}
 			if base == nil {
-				base, baseName = res, cfg.name
-				if len(res.Pairs) == 0 {
-					t.Fatalf("%v/%s: degenerate fixture, no candidates", s, cfg.name)
-				}
+				base = res
 				continue
 			}
-			if len(res.Pairs) != len(base.Pairs) {
-				t.Fatalf("%v: %s has %d pairs, %s has %d", s, cfg.name, len(res.Pairs), baseName, len(base.Pairs))
-			}
-			for i := range res.Pairs {
-				if res.Pairs[i] != base.Pairs[i] {
-					t.Fatalf("%v: %s pair[%d]=%v, %s has %v", s, cfg.name, i, res.Pairs[i], baseName, base.Pairs[i])
-				}
-			}
 			if res.SimTime != base.SimTime {
-				t.Fatalf("%v: %s SimTime=%v, %s SimTime=%v", s, cfg.name, res.SimTime, baseName, base.SimTime)
+				t.Fatalf("%v: SimTime %v at %d workers, %v at 1", s, res.SimTime, workers, base.SimTime)
 			}
 			if res.PairsEnumerated != base.PairsEnumerated {
-				t.Fatalf("%v: %s enumerated %d, %s enumerated %d", s, cfg.name, res.PairsEnumerated, baseName, base.PairsEnumerated)
+				t.Fatalf("%v: enumerated %d at %d workers, %d at 1", s, res.PairsEnumerated, workers, base.PairsEnumerated)
 			}
 		}
 	}
 }
 
 // TestGoldenVectorsStringVsIDPath proves bit-identical feature vectors —
-// the full matching-stage feature space, not just the blocking subset —
-// between the reference evaluator, the sorted-merge ID evaluator, and the
-// bit-parallel evaluator.
+// the full matching-stage feature space and the blocking subset — between
+// the production evaluator and the string oracle Feature.Eval.
 func TestGoldenVectorsStringVsIDPath(t *testing.T) {
 	a, bt := mkTables(90, 60, 12)
 	set := feature.Generate(a, bt)
-	ref := feature.NewVectorizer(set, a, bt)
-	ref.Reference = true
-	ids := feature.NewVectorizer(set, a, bt)
-	ids.IDsOnly = true
-	ids.Warm()
-	bp := feature.NewVectorizer(set, a, bt)
-	bp.Warm()
+	vz := feature.NewVectorizer(set, a, bt)
+	vz.Warm()
 	for ai := 0; ai < a.Len(); ai += 3 {
 		for bi := 0; bi < bt.Len(); bi += 2 {
 			p := table.Pair{A: ai, B: bi}
-			rv, iv, pv := ref.Vector(p), ids.Vector(p), bp.Vector(p)
-			if len(rv.Values) != len(iv.Values) || len(rv.Values) != len(pv.Values) {
-				t.Fatalf("%v: vector lengths differ: %d vs %d vs %d", p, len(rv.Values), len(iv.Values), len(pv.Values))
+			full, blocking := vz.Vector(p), vz.BlockingVector(p)
+			if len(full.Values) != len(set.Features) || len(blocking.Values) != len(set.BlockingIdx) {
+				t.Fatalf("%v: vector lengths %d/%d, want %d/%d", p, len(full.Values), len(blocking.Values), len(set.Features), len(set.BlockingIdx))
 			}
-			for k := range rv.Values {
-				if math.Float64bits(rv.Values[k]) != math.Float64bits(iv.Values[k]) {
-					t.Fatalf("%v: feature %q = %v (reference) vs %v (ids)", p, set.Features[k].Name, rv.Values[k], iv.Values[k])
-				}
-				if math.Float64bits(rv.Values[k]) != math.Float64bits(pv.Values[k]) {
-					t.Fatalf("%v: feature %q = %v (reference) vs %v (bitparallel)", p, set.Features[k].Name, rv.Values[k], pv.Values[k])
+			for k := range set.Features {
+				f := &set.Features[k]
+				want := f.Eval(a.Value(ai, f.ACol), bt.Value(bi, f.BCol))
+				if math.Float64bits(full.Values[k]) != math.Float64bits(want) {
+					t.Fatalf("%v: feature %q = %v, Feature.Eval = %v", p, f.Name, full.Values[k], want)
 				}
 			}
-			rb, ib, pb := ref.BlockingVector(p), ids.BlockingVector(p), bp.BlockingVector(p)
-			for k := range rb.Values {
-				if math.Float64bits(rb.Values[k]) != math.Float64bits(ib.Values[k]) ||
-					math.Float64bits(rb.Values[k]) != math.Float64bits(pb.Values[k]) {
-					t.Fatalf("%v: blocking feature %d = %v vs %v vs %v", p, k, rb.Values[k], ib.Values[k], pb.Values[k])
+			for k, fi := range set.BlockingIdx {
+				if math.Float64bits(blocking.Values[k]) != math.Float64bits(full.Values[fi]) {
+					t.Fatalf("%v: blocking feature %d = %v, full vector has %v", p, k, blocking.Values[k], full.Values[fi])
 				}
 			}
 		}

@@ -33,7 +33,7 @@ func TestGoldenSpillAllStrategies(t *testing.T) {
 		var base *Result
 		var baseName string
 		for _, cfg := range configs {
-			in := goldenInput(t, a, bt, set, false, false)
+			in := goldenInput(t, a, bt, set)
 			cluster := mapreduce.Default()
 			cluster.Workers = cfg.workers
 			cluster.SpillRecords = cfg.spill
@@ -86,13 +86,13 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	a, bt := mkTables(100, 70, 13)
 	set := feature.Generate(a, bt)
 	for _, s := range []Strategy{ApplyAll, ApplyConjunct, MapSide, ReduceSplit} {
-		in := goldenInput(t, a, bt, set, false, false)
+		in := goldenInput(t, a, bt, set)
 		want, err := Run(context.Background(), mapreduce.Default(), in, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, spill := range []int{0, 5} {
-			in := goldenInput(t, a, bt, set, false, false)
+			in := goldenInput(t, a, bt, set)
 			cluster := mapreduce.Default()
 			cluster.SpillRecords = spill
 			cluster.SpillDir = t.TempDir()

@@ -20,8 +20,9 @@ func (st *runState) interimArtifact(f *forest.Forest) *model.MatcherArtifact {
 	return model.NewMatcherArtifact(model.New(st.set, st.modelSeq, st.modelSel, f), nil)
 }
 
-// buildArtifact assembles the complete serving artifact once the run has
-// settled on its final model: feature specs with their corpora, the
+// BuildArtifact assembles the complete serving artifact for a trained model
+// (a run calls it once it has settled on its final model; tests call it with
+// a hand-written one): feature specs with their corpora, the
 // correspondence dictionaries with every B row's encoded token-ID set, and
 // prefix indexes over B for the learned blocking rules.
 //
@@ -36,17 +37,17 @@ func (st *runState) interimArtifact(f *forest.Forest) *model.MatcherArtifact {
 // The B-side builds run in-process after the workflow finishes; they are
 // part of artifact assembly (the train phase's output contract), not of
 // the modeled cluster run, so timelines and counters stay untouched.
-func (st *runState) buildArtifact() *model.MatcherArtifact {
+func BuildArtifact(m *model.Model, set *feature.Set, vz *feature.Vectorizer, a, b *table.Table) *model.MatcherArtifact {
 	sv := &model.ServingData{
-		AName:  st.a.Name,
-		AAttrs: append([]table.Attribute(nil), st.a.Schema.Attrs...),
-		B:      st.b,
+		AName:  a.Name,
+		AAttrs: append([]table.Attribute(nil), a.Schema.Attrs...),
+		B:      b,
 		Dicts:  map[string]*tokenize.Dict{},
 	}
 	corpusIdx := map[*simfn.Corpus]int{}
 	seenCorr := map[string]bool{}
-	for i := range st.set.Features {
-		f := &st.set.Features[i]
+	for i := range set.Features {
+		f := &set.Features[i]
 		ci := -1
 		if c := f.Corpus(); c != nil {
 			idx, ok := corpusIdx[c]
@@ -63,11 +64,11 @@ func (st *runState) buildArtifact() *model.MatcherArtifact {
 			ACol: f.ACol, BCol: f.BCol, Attr: f.Attr,
 			Blockable: f.Blockable, Corpus: ci,
 		})
-		if feature.CountSet(f.Measure) {
+		if f.Measure.CountBased() {
 			key := model.CorrKey(f.ACol, f.BCol, f.Token)
 			if !seenCorr[key] {
 				seenCorr[key] = true
-				dict, _, rowsB := st.vz.CorrIDs(f.ACol, f.BCol, f.Token)
+				dict, _, rowsB := vz.CorrIDs(f.ACol, f.BCol, f.Token)
 				sv.Dicts[key] = dict
 				sv.Corrs = append(sv.Corrs, model.CorrData{
 					ACol: f.ACol, BCol: f.BCol, Kind: f.Token,
@@ -78,24 +79,24 @@ func (st *runState) buildArtifact() *model.MatcherArtifact {
 		}
 	}
 
-	if len(st.modelSeq) > 0 {
+	if len(m.RuleSeq) > 0 {
 		// Analyze the learned CNF over role-flipped blocking features so the
 		// needed index specs name B columns, then build each prefix/share
 		// index over B. Hash and tree indexes are rebuilt from the B table at
 		// load time; only the prefix postings ship in the artifact.
-		flipped := make([]*feature.Feature, len(st.set.BlockingIdx))
-		for i, fi := range st.set.BlockingIdx {
-			f := st.set.Features[fi]
+		flipped := make([]*feature.Feature, len(set.BlockingIdx))
+		for i, fi := range set.BlockingIdx {
+			f := set.Features[fi]
 			f.ACol, f.BCol = f.BCol, f.ACol
 			flipped[i] = &f
 		}
-		an := filters.Analyze(rules.ToCNF(st.modelSeq), flipped)
+		an := filters.Analyze(rules.ToCNF(m.RuleSeq), flipped)
 		for _, spec := range an.NeededIndexes() {
 			if spec.Kind != filters.PrefixSet && spec.Kind != filters.ShareGram {
 				continue
 			}
-			ord := index.BuildOrdering(index.TokenFrequencies(st.b, spec.ACol, spec.Token))
-			pidx := index.BuildPrefix(st.b, spec.ACol, spec.Token, ord, spec.Measure, spec.Threshold)
+			ord := index.BuildOrdering(index.TokenFrequencies(b, spec.ACol, spec.Token))
+			pidx := index.BuildPrefix(b, spec.ACol, spec.Token, ord, spec.Measure, spec.Threshold)
 			ranked, post, setLen, ok := pidx.Parts()
 			if !ok {
 				continue // unreachable: the ordering covers the indexed column
@@ -108,5 +109,5 @@ func (st *runState) buildArtifact() *model.MatcherArtifact {
 			})
 		}
 	}
-	return model.NewMatcherArtifact(st.res.Model, sv)
+	return model.NewMatcherArtifact(m, sv)
 }

@@ -124,7 +124,7 @@ func TrainContext(ctx context.Context, a, b *table.Table, oracle learn.Oracle, o
 	st.res.Tasks = st.tl.Tasks()
 	if st.res.MatchingForest != nil {
 		st.res.Model = model.New(st.set, st.modelSeq, st.modelSel, st.res.MatchingForest)
-		st.res.Artifact = st.buildArtifact()
+		st.res.Artifact = BuildArtifact(st.res.Model, st.set, st.vz, st.a, st.b)
 	}
 	led := st.cr.Ledger()
 	st.res.Cost = st.cr.TotalCost()

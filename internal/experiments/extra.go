@@ -52,12 +52,11 @@ func (c Config) runFrontHalf(name DatasetName) (*frontHalf, error) {
 	if err != nil {
 		return nil, err
 	}
-	vecs := vz.BlockingVectorizeAll(pairs)
-	pool := make([]learn.Item, len(vecs))
-	sampleVecs := make([][]float64, len(vecs))
-	for i, v := range vecs {
-		pool[i] = learn.Item{Pair: v.Pair, Vec: v.Values}
-		sampleVecs[i] = v.Values
+	pool := make([]learn.Item, len(pairs))
+	sampleVecs := make([][]float64, len(pairs))
+	for i, p := range pairs {
+		sampleVecs[i] = vz.BlockingVector(p).Values
+		pool[i] = learn.Item{Pair: p, Vec: sampleVecs[i]}
 	}
 	feats := make([]*feature.Feature, len(set.BlockingIdx))
 	for i, idx := range set.BlockingIdx {
@@ -91,10 +90,10 @@ func (c Config) runFrontHalf(name DatasetName) (*frontHalf, error) {
 	if err != nil {
 		return nil, err
 	}
-	choice := rulesel.SelectOptSeq(evalRes.Retained, len(vecs), rulesel.Weights{})
+	choice := rulesel.SelectOptSeq(evalRes.Retained, len(pairs), rulesel.Weights{})
 	return &frontHalf{
 		d: d, cluster: cluster, set: set, vz: vz, feats: feats,
-		retained: evalRes.Retained, choice: choice, nSample: len(vecs),
+		retained: evalRes.Retained, choice: choice, nSample: len(pairs),
 	}, nil
 }
 

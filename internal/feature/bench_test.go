@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"falcon/internal/datagen"
-	"falcon/internal/simfn"
 	"falcon/internal/table"
 )
 
@@ -17,56 +16,19 @@ func benchPairs(a, b *table.Table, n int) []table.Pair {
 	return pairs
 }
 
-// BenchmarkVectorize measures blocking-vector throughput per tuple pair on
-// the bit-parallel default versus the sorted-merge ID baseline and the
-// retired string path.
+// BenchmarkVectorize measures blocking-vector throughput per tuple pair.
 func BenchmarkVectorize(b *testing.B) {
 	ds := datagen.Products(0.05, 5)
 	set := Generate(ds.A, ds.B)
 	pairs := benchPairs(ds.A, ds.B, 1024)
-	for _, mode := range []struct {
-		name      string
-		reference bool
-		idsOnly   bool
-	}{{"reference", true, false}, {"ids", false, true}, {"bitparallel", false, false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			vz := NewVectorizer(set, ds.A, ds.B)
-			vz.Reference = mode.reference
-			vz.IDsOnly = mode.idsOnly
-			vz.Warm()
-			vz.BlockingVector(pairs[0])
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vz.BlockingVector(pairs[i%len(pairs)])
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
-	}
-}
-
-// TestBlockingVectorScratchAllocs pins the hot path's allocation budget:
-// after Warm, computing a blocking vector with caller-held scratch performs
-// exactly one allocation — the returned Values slice.
-func TestBlockingVectorScratchAllocs(t *testing.T) {
-	ds := datagen.Products(0.02, 7)
-	set := Generate(ds.A, ds.B)
 	vz := NewVectorizer(set, ds.A, ds.B)
 	vz.Warm()
-	s := simfn.GetScratch()
-	defer simfn.PutScratch(s)
-	pairs := benchPairs(ds.A, ds.B, 16)
-	// Warm-up pass grows the scratch buffers to steady state.
-	for _, p := range pairs {
-		vz.BlockingVectorScratch(p, s)
+	vz.BlockingVector(pairs[0])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vz.BlockingVector(pairs[i%len(pairs)])
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		vz.BlockingVectorScratch(pairs[i%len(pairs)], s)
-		i++
-	})
-	if allocs > 1 {
-		t.Fatalf("BlockingVectorScratch allocates %.1f objects/op after warm-up, want <= 1", allocs)
-	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
 }
 
 // TestBlockingVectorAllocs sanity-checks the pooled wrapper: the scratch
@@ -92,9 +54,11 @@ func TestBlockingVectorAllocs(t *testing.T) {
 }
 
 // TestBlockingVectorsBatch proves the batch entry point computes exactly
-// what BlockingVector computes — same features, same order, bit-identical
-// values — in all three evaluator modes, and that the steady-state batch
-// path allocates (almost) nothing per stripe.
+// what BlockingVector computes — same features, same order — and that both
+// equal the string oracle Feature.Eval on the raw cells bit for bit, over
+// the generated Products data (long titles cross the bit-parallel kernels'
+// packing threshold, short ones stay on the merge fallback); and that the
+// steady-state batch path allocates (almost) nothing per stripe.
 func TestBlockingVectorsBatch(t *testing.T) {
 	ds := datagen.Products(0.02, 9)
 	set := Generate(ds.A, ds.B)
@@ -102,41 +66,32 @@ func TestBlockingVectorsBatch(t *testing.T) {
 	for i := range bRows {
 		bRows[i] = int32((i * 11) % ds.B.Len())
 	}
-	for _, mode := range []struct {
-		name      string
-		reference bool
-		idsOnly   bool
-	}{{"reference", true, false}, {"ids", false, true}, {"bitparallel", false, false}} {
-		vz := NewVectorizer(set, ds.A, ds.B)
-		vz.Reference = mode.reference
-		vz.IDsOnly = mode.idsOnly
-		if !mode.reference {
-			vz.Warm()
-		}
-		aRow := 3
+	vz := NewVectorizer(set, ds.A, ds.B)
+	for _, aRow := range []int{3, 17, ds.A.Len() - 1} {
 		visited := 0
 		vz.BlockingVectorsBatch(aRow, bRows, func(i int, values []float64) {
 			if i != visited {
-				t.Fatalf("%s: visit order %d, want %d", mode.name, i, visited)
+				t.Fatalf("visit order %d, want %d", i, visited)
 			}
 			visited++
 			want := vz.BlockingVector(table.Pair{A: aRow, B: int(bRows[i])})
 			if len(values) != len(want.Values) {
-				t.Fatalf("%s row %d: %d values, want %d", mode.name, bRows[i], len(values), len(want.Values))
+				t.Fatalf("row %d: %d values, want %d", bRows[i], len(values), len(want.Values))
 			}
-			for k := range values {
-				if math.Float64bits(values[k]) != math.Float64bits(want.Values[k]) {
-					t.Fatalf("%s row %d: values[%d]=%v, want %v", mode.name, bRows[i], k, values[k], want.Values[k])
+			for k, fi := range set.BlockingIdx {
+				f := &set.Features[fi]
+				oracle := f.Eval(ds.A.Value(aRow, f.ACol), ds.B.Value(int(bRows[i]), f.BCol))
+				if math.Float64bits(values[k]) != math.Float64bits(want.Values[k]) || math.Float64bits(values[k]) != math.Float64bits(oracle) {
+					t.Fatalf("pair (%d,%d) %s: batch %v, BlockingVector %v, Eval %v", aRow, bRows[i], f.Name, values[k], want.Values[k], oracle)
 				}
 			}
 		})
 		if visited != len(bRows) {
-			t.Fatalf("%s: visited %d rows, want %d", mode.name, visited, len(bRows))
+			t.Fatalf("visited %d rows, want %d", visited, len(bRows))
 		}
 	}
 
-	// Steady-state allocation budget on the default path.
-	vz := NewVectorizer(set, ds.A, ds.B)
+	// Steady-state allocation budget.
 	vz.Warm()
 	sink := 0.0
 	visit := func(_ int, values []float64) { sink += values[0] }

@@ -11,7 +11,6 @@ package feature
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"falcon/internal/simfn"
@@ -242,58 +241,67 @@ func NewBoundFeature(id int, name string, m simfn.Measure, tok tokenize.Kind, ac
 	}
 }
 
-// CountSet reports whether the measure depends only on the two token-set
-// sizes and their overlap count, so it can run on dictionary-encoded IDs.
-func CountSet(m simfn.Measure) bool { return isCountSet(m) }
-
-// EvalCountSet evaluates a count-set measure on dictionary-encoded token
-// sets (sorted ascending IDs). Exported for the serving path, which
-// resolves operands from the artifact's frozen columns rather than a
-// Vectorizer.
-func EvalCountSet(m simfn.Measure, a, b []uint32) float64 { return evalSetIDs(m, a, b) }
-
-// EvalCountSetPacked is EvalCountSet on pre-packed operands: the measure runs
-// on the bit-parallel signatures when both sides carry one, and falls back to
-// the sorted merge otherwise. Bit-identical to EvalCountSet by construction —
-// both paths feed the same intersection cardinality through the same float
-// arithmetic (see simfn.OverlapPacked).
+// EvalOperands computes the feature between row ai of operand a and row bi
+// of operand b — the one score kernel: the batch vectorizer and the serving
+// path both end here, over operands resolved by the same column builders,
+// so their values are bit-identical by construction. Count-set measures run
+// on the bit-parallel signatures when both sides carry one and fall back to
+// the sorted merge otherwise (see simfn.OverlapPacked).
 //
 //falcon:hotpath
-func EvalCountSetPacked(m simfn.Measure, a, b *simfn.PackedIDs) float64 {
-	switch m {
+func (f *Feature) EvalOperands(a *Operand, ai int, b *Operand, bi int, s *simfn.Scratch) float64 {
+	switch f.Measure {
+	case simfn.MAbsDiff, simfn.MRelDiff:
+		if !a.Ok[ai] || !b.Ok[bi] {
+			return Missing
+		}
+		if f.Measure == simfn.MAbsDiff {
+			return simfn.AbsDiff(a.Num[ai], b.Num[bi])
+		}
+		return simfn.RelDiff(a.Num[ai], b.Num[bi])
 	case simfn.MJaccard:
-		return simfn.JaccardPacked(a, b)
+		return simfn.JaccardPacked(&a.Pack[ai], &b.Pack[bi])
 	case simfn.MDice:
-		return simfn.DicePacked(a, b)
+		return simfn.DicePacked(&a.Pack[ai], &b.Pack[bi])
 	case simfn.MOverlap:
-		return simfn.OverlapSimPacked(a, b)
+		return simfn.OverlapSimPacked(&a.Pack[ai], &b.Pack[bi])
 	case simfn.MCosine:
-		return simfn.CosinePacked(a, b)
+		return simfn.CosinePacked(&a.Pack[ai], &b.Pack[bi])
+	case simfn.MMongeElkan:
+		return s.MongeElkan(a.Tok[ai], b.Tok[bi])
+	case simfn.MTFIDF:
+		return simfn.TFIDFDocs(&a.Doc[ai], &b.Doc[bi])
+	case simfn.MSoftTFIDF:
+		return simfn.SoftTFIDFDocs(&a.Doc[ai], &b.Doc[bi], s)
+	case simfn.MExactMatch:
+		return simfn.ExactMatch(a.Norm[ai], b.Norm[bi])
+	case simfn.MLevenshtein:
+		return s.Levenshtein(a.Norm[ai], b.Norm[bi])
+	case simfn.MJaro:
+		return s.Jaro(a.Norm[ai], b.Norm[bi])
+	case simfn.MJaroWinkler:
+		return s.JaroWinkler(a.Norm[ai], b.Norm[bi])
+	case simfn.MNeedlemanWunsch:
+		return s.NeedlemanWunsch(a.Norm[ai], b.Norm[bi])
+	case simfn.MSmithWaterman:
+		return s.SmithWaterman(a.Norm[ai], b.Norm[bi])
+	case simfn.MSmithWatermanGotoh:
+		return s.SmithWatermanGotoh(a.Norm[ai], b.Norm[bi])
 	default:
-		panic("feature: not a count-set measure: " + m.String())
+		panic("feature: unknown measure " + f.Measure.String())
 	}
 }
 
-// EvalStrings evaluates a sequence/string measure on pre-normalized values
-// with reusable DP scratch — the serving-path twin of evalStringsScratch.
-func EvalStrings(m simfn.Measure, av, bv string, s *simfn.Scratch) float64 {
-	f := Feature{Measure: m}
-	return f.evalStringsScratch(av, bv, s)
-}
-
-// Eval computes the feature value on raw attribute values.
+// Eval computes the feature value on raw attribute values, from scratch:
+// it tokenizes, parses and normalizes per call and runs the allocating
+// string-level simfn measures. No production path calls it — it is the
+// string oracle the golden tests hold EvalOperands to, bit for bit.
 func (f *Feature) Eval(av, bv string) float64 {
-	if table.IsMissing(av) {
-		av = ""
-	}
-	if table.IsMissing(bv) {
-		bv = ""
-	}
 	switch {
 	case f.Measure.NumericBased():
-		x, errx := strconv.ParseFloat(strings.TrimSpace(av), 64)
-		y, erry := strconv.ParseFloat(strings.TrimSpace(bv), 64)
-		if errx != nil || erry != nil {
+		x, okx := table.ParseNum(av)
+		y, oky := table.ParseNum(bv)
+		if !okx || !oky {
 			return Missing
 		}
 		if f.Measure == simfn.MAbsDiff {
@@ -301,12 +309,18 @@ func (f *Feature) Eval(av, bv string) float64 {
 		}
 		return simfn.RelDiff(x, y)
 	case f.Measure.SetBased():
-		ta := tokenize.Set(f.Token, av)
-		tb := tokenize.Set(f.Token, bv)
-		return f.evalSets(ta, tb)
+		return f.evalSets(CellTokens(f.Token, av), CellTokens(f.Token, bv))
 	default:
-		return f.evalStrings(strings.ToLower(strings.TrimSpace(av)), strings.ToLower(strings.TrimSpace(bv)))
+		return f.evalStrings(table.Normalize(av), table.Normalize(bv))
 	}
+}
+
+// CellTokens tokenizes one raw cell; a missing cell is the empty set.
+func CellTokens(kind tokenize.Kind, v string) []string {
+	if table.IsMissing(v) {
+		return []string{}
+	}
+	return tokenize.Set(kind, v)
 }
 
 func (f *Feature) evalSets(ta, tb []string) float64 {
@@ -327,48 +341,6 @@ func (f *Feature) evalSets(ta, tb []string) float64 {
 		return f.corpus.SoftTFIDF(ta, tb)
 	default:
 		panic("feature: not a set-based measure: " + f.Measure.String())
-	}
-}
-
-// evalSetIDs evaluates a count-based set measure on dictionary-encoded
-// token sets (sorted ascending IDs). Jaccard/Dice/Overlap/Cosine depend
-// only on the two set sizes and the overlap count, so any bijective
-// encoding yields the same value as the string path.
-func evalSetIDs(m simfn.Measure, a, b []uint32) float64 {
-	switch m {
-	case simfn.MJaccard:
-		return simfn.JaccardIDs(a, b)
-	case simfn.MDice:
-		return simfn.DiceIDs(a, b)
-	case simfn.MOverlap:
-		return simfn.OverlapSimIDs(a, b)
-	case simfn.MCosine:
-		return simfn.CosineIDs(a, b)
-	default:
-		panic("feature: not a count-set measure: " + m.String())
-	}
-}
-
-// evalStringsScratch is evalStrings on pre-normalized values with reusable
-// DP scratch, avoiding the per-call matrix allocations of the plain path.
-func (f *Feature) evalStringsScratch(av, bv string, s *simfn.Scratch) float64 {
-	switch f.Measure {
-	case simfn.MExactMatch:
-		return simfn.ExactMatch(av, bv)
-	case simfn.MLevenshtein:
-		return s.Levenshtein(av, bv)
-	case simfn.MJaro:
-		return s.Jaro(av, bv)
-	case simfn.MJaroWinkler:
-		return s.JaroWinkler(av, bv)
-	case simfn.MNeedlemanWunsch:
-		return s.NeedlemanWunsch(av, bv)
-	case simfn.MSmithWaterman:
-		return s.SmithWaterman(av, bv)
-	case simfn.MSmithWatermanGotoh:
-		return s.SmithWatermanGotoh(av, bv)
-	default:
-		panic("feature: not a string-based measure: " + f.Measure.String())
 	}
 }
 

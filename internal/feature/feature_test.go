@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -145,20 +146,29 @@ func TestEvalStringMeasures(t *testing.T) {
 	}
 }
 
+// TestVectorizerMatchesEval holds the cached, dictionary-encoded,
+// bit-parallel vector path to the string oracle: every feature of every
+// pair must equal Feature.Eval on the raw cell values bit for bit —
+// including missing markers and padded or unparseable numerics.
 func TestVectorizerMatchesEval(t *testing.T) {
 	a, b := bookTables()
+	a.Append("NULL", " 45 ", "?", " nan ")
+	b.Append("the go programming language", "n/a", "", "null")
 	set := Generate(a, b)
 	vz := NewVectorizer(set, a, b)
-	for _, p := range []table.Pair{{A: 0, B: 0}, {A: 1, B: 1}, {A: 2, B: 2}, {A: 0, B: 2}} {
-		vec := vz.Vector(p)
-		if len(vec.Values) != len(set.Features) {
-			t.Fatalf("vector length %d, want %d", len(vec.Values), len(set.Features))
-		}
-		for i := range set.Features {
-			f := &set.Features[i]
-			want := f.Eval(a.Value(p.A, f.ACol), b.Value(p.B, f.BCol))
-			if math.Abs(vec.Values[i]-want) > 1e-9 {
-				t.Fatalf("pair %v feature %s: vectorizer %v != eval %v", p, f.Name, vec.Values[i], want)
+	for ai := 0; ai < a.Len(); ai++ {
+		for bi := 0; bi < b.Len(); bi++ {
+			p := table.Pair{A: ai, B: bi}
+			vec := vz.Vector(p)
+			if len(vec.Values) != len(set.Features) {
+				t.Fatalf("vector length %d, want %d", len(vec.Values), len(set.Features))
+			}
+			for i := range set.Features {
+				f := &set.Features[i]
+				want := f.Eval(a.Value(p.A, f.ACol), b.Value(p.B, f.BCol))
+				if math.Float64bits(vec.Values[i]) != math.Float64bits(want) {
+					t.Fatalf("pair %v feature %s: vectorizer %v != eval %v", p, f.Name, vec.Values[i], want)
+				}
 			}
 		}
 	}
@@ -203,8 +213,8 @@ func TestMatchingPairsScoreHigher(t *testing.T) {
 		// title may be short-string: jaccard_word only for short/medium/long
 		t.Fatal("expected jaccard_word(title)")
 	}
-	match := vz.EvalFeature(f, table.Pair{A: 1, B: 1})
-	nonMatch := vz.EvalFeature(f, table.Pair{A: 1, B: 2})
+	match := vz.Vector(table.Pair{A: 1, B: 1}).Values[f.ID]
+	nonMatch := vz.Vector(table.Pair{A: 1, B: 2}).Values[f.ID]
 	if match <= nonMatch {
 		t.Fatalf("match sim %v should exceed non-match %v", match, nonMatch)
 	}
@@ -219,9 +229,10 @@ func TestVectorizeAll(t *testing.T) {
 	if len(vecs) != 2 || vecs[1].Pair != pairs[1] {
 		t.Fatal("VectorizeAll wrong")
 	}
-	bvecs := vz.BlockingVectorizeAll(pairs)
-	if len(bvecs) != 2 || len(bvecs[0].Values) != set.NumBlocking() {
-		t.Fatal("BlockingVectorizeAll wrong")
+	for i, p := range pairs {
+		if want := vz.Vector(p); !slices.Equal(vecs[i].Values, want.Values) {
+			t.Fatalf("VectorizeAll[%d] = %v, Vector = %v", i, vecs[i].Values, want.Values)
+		}
 	}
 }
 
@@ -252,6 +263,3 @@ func TestQuickFeatureBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// BenchmarkVectorize lives in bench_test.go, comparing the dictionary ID
-// path against the retired reference path over datagen tables.

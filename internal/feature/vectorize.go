@@ -3,7 +3,6 @@ package feature
 import (
 	"cmp"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,62 +18,164 @@ type Vector struct {
 	Values []float64
 }
 
-// Vectorizer converts tuple pairs into feature vectors with per-table
-// column caches, so repeated pairs touching the same tuple re-derive
-// nothing. Four column representations are kept per (column, measure
-// family):
-//
-//   - token sets as sorted []uint32 dictionary IDs (per attribute
-//     correspondence, frequency-ordered — see tokenize.Dict), feeding the
-//     allocation-free simfn ID set measures;
-//   - token sets as strings, for the measures that need the actual tokens
-//     (Monge-Elkan and the TF/IDF family);
-//   - normalized (lowercased, trimmed) strings for the sequence measures;
-//   - parsed numbers for the numeric measures.
-//
-// It is safe for concurrent use: columns are built whole on first access
-// under a lock and published as immutable slices, so map tasks on the
-// worker pool can share one vectorizer. Per-feature resolved column
-// bundles are published through atomic pointers, making the per-pair hot
-// path lock-free.
-type Vectorizer struct {
-	Set  *Set
-	A, B *table.Table
+// Operand is one side of a feature's per-pair input: the columns of one
+// table (or one served record) the feature's measure family reads, indexed
+// by row. Only the fields for that family are set. Feature.EvalOperands is
+// the one place a measure is applied to two operands, so the batch
+// vectorizer (both sides table columns) and the serving path (a length-1
+// record column against the frozen B columns) cannot drift apart.
+type Operand struct {
+	Num  []float64           // numeric measures: parsed cells
+	Ok   []bool              //   and whether each parsed
+	Pack []simfn.PackedIDs   // count-set measures: token-ID sets under the correspondence dictionary
+	Tok  [][]string          // Monge-Elkan and the TF/IDF family: token sets
+	Doc  []simfn.WeightedDoc // TF/IDF family: frozen tf·idf vectors
+	Norm []string            // sequence measures: normalized cells
+}
 
-	// Reference routes evaluation through the retired string-based path
-	// (string-token sets + per-pair normalization + allocating simfn
-	// calls). Test-only: the golden equivalence tests prove both paths
-	// produce bit-identical vectors.
-	Reference bool
+// Columns builds and caches one table's operand columns, so features (and
+// repeated pairs) touching the same column re-derive nothing. It is safe
+// for concurrent use: columns are built whole on first access under a lock
+// and published as immutable slices.
+type Columns struct {
+	t *table.Table
 
-	// IDsOnly routes the count-set measures through the sorted-merge ID
-	// kernels instead of the bit-parallel signature kernels. Test- and
-	// benchmark-only: it pins down the PR-3 baseline the golden tests and
-	// BENCH_blocking.json compare the packed kernels against (the two paths
-	// are bit-identical; see simfn.OverlapPacked).
-	IDsOnly bool
-
-	mu     sync.RWMutex
-	tokA   map[tokKey][][]string // (col,kind) → per-row token sets
-	tokB   map[tokKey][][]string
-	numA   map[int][]float64 // col → per-row parsed numbers
-	numB   map[int][]float64
-	numOkA map[int][]bool
-	numOkB map[int][]bool
-	normA  map[int][]string // col → per-row normalized values
-	normB  map[int][]string
-	ids    map[corrKey]*idCols        // correspondence → encoded token sets
-	docs   map[*simfn.Corpus]*docCols // corpus → IDF-weighted row vectors
-
-	// feats[f.ID] caches the resolved per-feature column bundle so the
-	// per-pair path does one atomic load instead of map lookups under
-	// RLock.
-	feats []atomic.Pointer[featCols]
+	mu   sync.RWMutex
+	tok  map[tokKey][][]string                 // (col,kind) → per-row token sets
+	num  map[int]numCol                        // col → per-row parsed numbers
+	norm map[int][]string                      // col → per-row normalized values
+	docs map[*simfn.Corpus][]simfn.WeightedDoc // corpus → IDF-weighted row vectors
 }
 
 type tokKey struct {
 	col  int
 	kind tokenize.Kind
+}
+
+// numCol is a parsed numeric column and its parse-success mask.
+type numCol struct {
+	vals []float64
+	ok   []bool
+}
+
+// NewColumns returns an empty column cache over t.
+func NewColumns(t *table.Table) *Columns {
+	return &Columns{
+		t:   t,
+		tok: map[tokKey][][]string{}, num: map[int]numCol{},
+		norm: map[int][]string{}, docs: map[*simfn.Corpus][]simfn.WeightedDoc{},
+	}
+}
+
+// cached returns m[k], building it with build under the write lock on first
+// access. Once published a column is never mutated again, so callers read
+// it without holding the lock.
+func cached[K comparable, V any](c *Columns, m map[K]V, k K, build func() V) V {
+	c.mu.RLock()
+	col, ok := m[k]
+	c.mu.RUnlock()
+	if ok {
+		return col
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if col, ok := m[k]; ok {
+		return col
+	}
+	col = build()
+	m[k] = col //falcon:allow streambound one column per (table column, representation) — bounded by the schema and feature set, not the record stream
+	return col
+}
+
+// tokens returns the token-set column for (col, kind).
+func (c *Columns) tokens(col int, kind tokenize.Kind) [][]string {
+	return cached(c, c.tok, tokKey{col, kind}, func() [][]string {
+		rows := make([][]string, c.t.Len())
+		for row := range rows {
+			rows[row] = CellTokens(kind, c.t.Value(row, col))
+		}
+		return rows
+	})
+}
+
+// numbers returns the parsed numeric column (table.ParseNum per cell).
+func (c *Columns) numbers(col int) numCol {
+	return cached(c, c.num, col, func() numCol {
+		nc := numCol{vals: make([]float64, c.t.Len()), ok: make([]bool, c.t.Len())}
+		for row := range nc.vals {
+			nc.vals[row], nc.ok[row] = table.ParseNum(c.t.Value(row, col))
+		}
+		return nc
+	})
+}
+
+// norms returns the normalized string column (table.Normalize per cell).
+func (c *Columns) norms(col int) []string {
+	return cached(c, c.norm, col, func() []string {
+		rows := make([]string, c.t.Len())
+		for row := range rows {
+			rows[row] = table.Normalize(c.t.Value(row, col))
+		}
+		return rows
+	})
+}
+
+// weightedDocs returns column col as frozen tf·idf vectors under corpus.
+// TFIDF and SoftTFIDF features of one correspondence share a corpus, so
+// they share the column.
+func (c *Columns) weightedDocs(corpus *simfn.Corpus, col int, kind tokenize.Kind) []simfn.WeightedDoc {
+	toks := c.tokens(col, kind) // built outside c.mu (tokens locks internally)
+	return cached(c, c.docs, corpus, func() []simfn.WeightedDoc {
+		out := make([]simfn.WeightedDoc, len(toks))
+		for i, ts := range toks {
+			out[i] = corpus.WeightedDocOf(ts)
+		}
+		return out
+	})
+}
+
+// Operand resolves feature f's operand over column col of the cached table.
+// Count-set measures read token IDs under a dictionary shared with the other
+// side, which one table cannot build alone: the caller supplies that column
+// packed (the Vectorizer from its joint encoding, serving from the
+// artifact's frozen ID rows).
+func (c *Columns) Operand(f *Feature, col int, packed []simfn.PackedIDs) Operand {
+	switch {
+	case f.Measure.NumericBased():
+		nc := c.numbers(col)
+		return Operand{Num: nc.vals, Ok: nc.ok}
+	case f.Measure.CountBased():
+		return Operand{Pack: packed}
+	case f.Measure.CorpusBased():
+		return Operand{Doc: c.weightedDocs(f.corpus, col, f.Token)}
+	case f.Measure.SetBased(): // Monge-Elkan: real tokens
+		return Operand{Tok: c.tokens(col, f.Token)}
+	default:
+		return Operand{Norm: c.norms(col)}
+	}
+}
+
+// Vectorizer converts tuple pairs into feature vectors over per-table
+// column caches (Columns). Count-set measures additionally share, per
+// attribute correspondence, one frequency-ordered dictionary (see
+// tokenize.Dict) under which both columns are encoded as sorted []uint32
+// token-ID sets with bit-parallel signatures attached.
+//
+// It is safe for concurrent use, so map tasks on the worker pool can share
+// one vectorizer. Per-feature resolved operand pairs are published through
+// atomic pointers, making the per-pair hot path lock-free.
+type Vectorizer struct {
+	Set *Set
+
+	a, b *Columns // per-table operand columns
+
+	mu  sync.RWMutex
+	ids map[corrKey]*idCols // correspondence → encoded token sets
+
+	// feats[f.ID] caches the resolved per-feature operand pair so the
+	// per-pair path does one atomic load instead of map lookups under
+	// RLock.
+	feats []atomic.Pointer[featCols]
 }
 
 // corrKey identifies one attribute correspondence's shared token
@@ -89,154 +190,28 @@ type corrKey struct {
 // plus the shared dictionary they are encoded under (retained so the
 // trained artifact can ship the correspondence frozen). pa/pb carry the
 // same rows with bit-parallel signatures attached (the IDs slices are
-// shared, not copied), packed once at column-build time so the per-pair
-// kernels never pay packing cost.
+// shared, not copied).
 type idCols struct {
 	dict   *tokenize.Dict
 	a, b   [][]uint32
 	pa, pb []simfn.PackedIDs
 }
 
-// docCols holds both sides of a correspondence as frozen IDF-weighted
-// term-frequency vectors, one per row, shared by every feature bound to
-// the same corpus (the TF/IDF family of one correspondence).
-type docCols struct {
-	a, b []simfn.WeightedDoc
-}
-
-// featCols is the resolved, immutable column bundle one feature reads
-// per pair. Only the fields for the feature's measure family are set.
-type featCols struct {
-	numA, numB   []float64
-	okA, okB     []bool
-	idsA, idsB   [][]uint32
-	packA, packB []simfn.PackedIDs
-	tokA, tokB   [][]string
-	docA, docB   []simfn.WeightedDoc
-	normA, normB []string
-}
+// featCols is the resolved, immutable operand pair one feature reads per
+// pair.
+type featCols struct{ a, b Operand }
 
 // NewVectorizer builds a vectorizer for the feature set over tables a and b.
 func NewVectorizer(set *Set, a, b *table.Table) *Vectorizer {
 	return &Vectorizer{
-		Set: set, A: a, B: b,
-		tokA: map[tokKey][][]string{}, tokB: map[tokKey][][]string{},
-		numA: map[int][]float64{}, numB: map[int][]float64{},
-		numOkA: map[int][]bool{}, numOkB: map[int][]bool{},
-		normA: map[int][]string{}, normB: map[int][]string{},
+		Set: set,
+		a:   NewColumns(a), b: NewColumns(b),
 		ids:   map[corrKey]*idCols{},
-		docs:  map[*simfn.Corpus]*docCols{},
 		feats: make([]atomic.Pointer[featCols], len(set.Features)),
 	}
 }
 
-// tokenCol returns the fully-built token column for (col, kind), building it
-// on first access. Once published the slice is never mutated again, so
-// callers may read it without holding the lock.
-func (v *Vectorizer) tokenCol(isA bool, col int, kind tokenize.Kind) [][]string {
-	cache, t := v.tokA, v.A
-	if !isA {
-		cache, t = v.tokB, v.B
-	}
-	k := tokKey{col, kind}
-	v.mu.RLock()
-	rows, ok := cache[k]
-	v.mu.RUnlock()
-	if ok {
-		return rows
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if rows, ok := cache[k]; ok {
-		return rows
-	}
-	rows = make([][]string, t.Len())
-	for row := range rows {
-		val := t.Value(row, col)
-		if table.IsMissing(val) {
-			rows[row] = []string{}
-		} else {
-			rows[row] = tokenize.Set(kind, val)
-		}
-	}
-	cache[k] = rows //falcon:allow streambound one token column per (column, kind) — bounded by the schema, not the record stream
-	return rows
-}
-
-func (v *Vectorizer) tokens(isA bool, col int, kind tokenize.Kind, row int) []string {
-	return v.tokenCol(isA, col, kind)[row]
-}
-
-// numberCol returns the fully-parsed numeric column, building it on first
-// access; like tokenCol, published slices are immutable.
-func (v *Vectorizer) numberCol(isA bool, col int) ([]float64, []bool) {
-	nums, oks, t := v.numA, v.numOkA, v.A
-	if !isA {
-		nums, oks, t = v.numB, v.numOkB, v.B
-	}
-	v.mu.RLock()
-	col2, ok := nums[col], oks[col]
-	v.mu.RUnlock()
-	if col2 != nil {
-		return col2, ok
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if col2, ok := nums[col], oks[col]; col2 != nil {
-		return col2, ok
-	}
-	col2 = make([]float64, t.Len())
-	ok = make([]bool, t.Len())
-	for r := 0; r < t.Len(); r++ {
-		s := strings.TrimSpace(t.Value(r, col))
-		if table.IsMissing(s) {
-			continue
-		}
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			col2[r], ok[r] = f, true
-		}
-	}
-	nums[col], oks[col] = col2, ok //falcon:allow streambound one parsed column per table column — bounded by the schema, not the record stream
-	return col2, ok
-}
-
-func (v *Vectorizer) number(isA bool, col, row int) (float64, bool) {
-	col2, ok := v.numberCol(isA, col)
-	return col2[row], ok[row]
-}
-
-// normCol returns the normalized string column: missing values become "",
-// everything else is lowercased and trimmed — exactly the per-pair
-// normalization the sequence measures previously applied on every call.
-func (v *Vectorizer) normCol(isA bool, col int) []string {
-	cache, t := v.normA, v.A
-	if !isA {
-		cache, t = v.normB, v.B
-	}
-	v.mu.RLock()
-	rows, ok := cache[col]
-	v.mu.RUnlock()
-	if ok {
-		return rows
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if rows, ok := cache[col]; ok {
-		return rows
-	}
-	rows = make([]string, t.Len())
-	for row := range rows {
-		val := t.Value(row, col)
-		if table.IsMissing(val) {
-			continue
-		}
-		rows[row] = strings.ToLower(strings.TrimSpace(val))
-	}
-	cache[col] = rows //falcon:allow streambound one normalized column per table column — bounded by the schema, not the record stream
-	return rows
-}
-
-// idCols returns both columns of the correspondence encoded as sorted
+// idColsFor returns both columns of the correspondence encoded as sorted
 // token-ID sets under one shared frequency-ordered dictionary, building the
 // dictionary and both encodings on first access.
 func (v *Vectorizer) idColsFor(acol, bcol int, kind tokenize.Kind) *idCols {
@@ -247,9 +222,9 @@ func (v *Vectorizer) idColsFor(acol, bcol int, kind tokenize.Kind) *idCols {
 	if ok {
 		return c
 	}
-	// Token columns are built outside v.mu (tokenCol locks internally).
-	ta := v.tokenCol(true, acol, kind)
-	tb := v.tokenCol(false, bcol, kind)
+	// Token columns are built outside v.mu (Columns locks internally).
+	ta := v.a.tokens(acol, kind)
+	tb := v.b.tokens(bcol, kind)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if c, ok := v.ids[k]; ok {
@@ -258,39 +233,6 @@ func (v *Vectorizer) idColsFor(acol, bcol int, kind tokenize.Kind) *idCols {
 	c = buildIDCols(ta, tb)
 	v.ids[k] = c //falcon:allow streambound one encoding per correspondence — bounded by the feature set, not the record stream
 	return c
-}
-
-// docColsFor returns both columns of f's correspondence as frozen
-// IDF-weighted row vectors under f's corpus, building them on first
-// access. TFIDF and SoftTFIDF features of one correspondence share a
-// corpus, so they share one docCols.
-func (v *Vectorizer) docColsFor(f *Feature) *docCols {
-	v.mu.RLock()
-	d, ok := v.docs[f.corpus]
-	v.mu.RUnlock()
-	if ok {
-		return d
-	}
-	// Token columns are built outside v.mu (tokenCol locks internally).
-	ta := v.tokenCol(true, f.ACol, f.Token)
-	tb := v.tokenCol(false, f.BCol, f.Token)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if d, ok := v.docs[f.corpus]; ok {
-		return d
-	}
-	d = &docCols{a: weightedDocs(f.corpus, ta), b: weightedDocs(f.corpus, tb)}
-	v.docs[f.corpus] = d //falcon:allow streambound one weighted-doc pair per corpus — bounded by the feature set, not the record stream
-	return d
-}
-
-// weightedDocs precomputes the frozen tf·idf vector of every row.
-func weightedDocs(c *simfn.Corpus, rows [][]string) []simfn.WeightedDoc {
-	out := make([]simfn.WeightedDoc, len(rows))
-	for i, toks := range rows {
-		out[i] = c.WeightedDocOf(toks)
-	}
-	return out
 }
 
 // buildIDCols interns both columns' tokens into one dictionary ordered by
@@ -321,28 +263,14 @@ func buildIDCols(ta, tb [][]string) *idCols {
 	encode := func(rows [][]string) [][]uint32 {
 		out := make([][]uint32, len(rows))
 		for i, toks := range rows {
-			if len(toks) == 0 {
-				continue
+			if len(toks) > 0 {
+				out[i] = dict.EncodeSorted(make([]uint32, 0, len(toks)), toks)
 			}
-			ids := make([]uint32, len(toks))
-			for j, t := range toks {
-				id, _ := dict.ID(t)
-				ids[j] = id
-			}
-			slices.Sort(ids)
-			out[i] = ids
-		}
-		return out
-	}
-	pack := func(rows [][]uint32) []simfn.PackedIDs {
-		out := make([]simfn.PackedIDs, len(rows))
-		for i, ids := range rows {
-			out[i] = simfn.PackIDs(ids)
 		}
 		return out
 	}
 	c := &idCols{dict: dict, a: encode(ta), b: encode(tb)}
-	c.pa, c.pb = pack(c.a), pack(c.b)
+	c.pa, c.pb = simfn.PackRows(c.a), simfn.PackRows(c.b)
 	return c
 }
 
@@ -355,17 +283,7 @@ func (v *Vectorizer) CorrIDs(acol, bcol int, kind tokenize.Kind) (*tokenize.Dict
 	return c.dict, c.a, c.b
 }
 
-// isCountSet reports whether the measure depends only on set sizes and
-// overlap count, and can therefore run on encoded ID sets.
-func isCountSet(m simfn.Measure) bool {
-	switch m {
-	case simfn.MJaccard, simfn.MDice, simfn.MOverlap, simfn.MCosine:
-		return true
-	}
-	return false
-}
-
-// featData returns the feature's resolved column bundle, building and
+// featData returns the feature's resolved operand pair, building and
 // publishing it on first access. Features not belonging to v.Set (defensive
 // case) are resolved without caching.
 func (v *Vectorizer) featData(f *Feature) *featCols {
@@ -375,26 +293,12 @@ func (v *Vectorizer) featData(f *Feature) *featCols {
 			return fc
 		}
 	}
-	fc := &featCols{}
-	switch {
-	case f.Measure.NumericBased():
-		fc.numA, fc.okA = v.numberCol(true, f.ACol)
-		fc.numB, fc.okB = v.numberCol(false, f.BCol)
-	case isCountSet(f.Measure):
+	var pa, pb []simfn.PackedIDs
+	if f.Measure.CountBased() {
 		c := v.idColsFor(f.ACol, f.BCol, f.Token)
-		fc.idsA, fc.idsB = c.a, c.b
-		fc.packA, fc.packB = c.pa, c.pb
-	case f.Measure.SetBased(): // Monge-Elkan, TF/IDF family: real tokens
-		fc.tokA = v.tokenCol(true, f.ACol, f.Token)
-		fc.tokB = v.tokenCol(false, f.BCol, f.Token)
-		if f.Measure.CorpusBased() {
-			d := v.docColsFor(f)
-			fc.docA, fc.docB = d.a, d.b
-		}
-	default:
-		fc.normA = v.normCol(true, f.ACol)
-		fc.normB = v.normCol(false, f.BCol)
+		pa, pb = c.pa, c.pb
 	}
+	fc := &featCols{a: v.a.Operand(f, f.ACol, pa), b: v.b.Operand(f, f.BCol, pb)}
 	if cached {
 		v.feats[f.ID].Store(fc)
 	}
@@ -404,37 +308,26 @@ func (v *Vectorizer) featData(f *Feature) *featCols {
 // Vector computes the full feature vector for pair p.
 func (v *Vectorizer) Vector(p table.Pair) Vector {
 	s := simfn.GetScratch()
-	out := v.vector(p, v.Set.Features, nil, s)
+	out := v.vector(p, nil, s)
 	simfn.PutScratch(s)
 	return out
-}
-
-// VectorScratch is Vector with caller-provided simfn scratch, for hot loops
-// that hold one scratch per worker or task.
-//
-//falcon:hotpath
-func (v *Vectorizer) VectorScratch(p table.Pair, s *simfn.Scratch) Vector {
-	return v.vector(p, v.Set.Features, nil, s)
 }
 
 // BlockingVector computes only the blocking-stage features for pair p. The
 // returned Values are indexed by position in Set.BlockingIdx.
 func (v *Vectorizer) BlockingVector(p table.Pair) Vector {
 	s := simfn.GetScratch()
-	out := v.vector(p, v.Set.Features, v.Set.BlockingIdx, s)
+	out := v.vector(p, v.Set.BlockingIdx, s)
 	simfn.PutScratch(s)
 	return out
 }
 
-// BlockingVectorScratch is BlockingVector with caller-provided scratch.
+// vector evaluates the features idx selects (nil: all of them) on pair p.
 // After Warm it performs exactly one allocation: the Values slice.
 //
 //falcon:hotpath
-func (v *Vectorizer) BlockingVectorScratch(p table.Pair, s *simfn.Scratch) Vector {
-	return v.vector(p, v.Set.Features, v.Set.BlockingIdx, s)
-}
-
-func (v *Vectorizer) vector(p table.Pair, feats []Feature, idx []int, s *simfn.Scratch) Vector {
+func (v *Vectorizer) vector(p table.Pair, idx []int, s *simfn.Scratch) Vector {
+	feats := v.Set.Features
 	n := len(feats)
 	if idx != nil {
 		n = len(idx)
@@ -446,123 +339,29 @@ func (v *Vectorizer) vector(p table.Pair, feats []Feature, idx []int, s *simfn.S
 		if idx != nil {
 			f = &feats[idx[i]]
 		}
-		out.Values[i] = v.evalCached(f, p, s)
+		//falcon:allow servebudget cold-path column build under the write lock; Warm() pre-builds every operand pair so the hot path always takes the atomic Load
+		fc := v.featData(f)
+		out.Values[i] = f.EvalOperands(&fc.a, p.A, &fc.b, p.B, s)
 	}
 	return out
-}
-
-// EvalFeature computes one feature on pair p using the caches.
-func (v *Vectorizer) EvalFeature(f *Feature, p table.Pair) float64 {
-	s := simfn.GetScratch()
-	out := v.evalCached(f, p, s)
-	simfn.PutScratch(s)
-	return out
-}
-
-// evalCached computes one feature on pair p from the published column
-// bundles: an atomic Load of the frozen featCols, then pure arithmetic
-// over pre-tokenized IDs and pre-normalized strings.
-//
-//falcon:hotpath
-func (v *Vectorizer) evalCached(f *Feature, p table.Pair, s *simfn.Scratch) float64 {
-	if v.Reference {
-		//falcon:allow servebudget retired reference path, enabled only by golden equivalence tests, never when serving
-		return v.evalReference(f, p)
-	}
-	//falcon:allow servebudget cold-path column build under the write lock; Warm() pre-builds every bundle so serving always takes the atomic Load fast path
-	fc := v.featData(f)
-	return v.evalWithCols(f, fc, p, s)
-}
-
-// evalWithCols is evalCached after bundle resolution: pure arithmetic over
-// the frozen columns. Split out so batch entry points can hoist the featData
-// loads out of their per-pair loops.
-//
-//falcon:hotpath
-func (v *Vectorizer) evalWithCols(f *Feature, fc *featCols, p table.Pair, s *simfn.Scratch) float64 {
-	switch {
-	case f.Measure.NumericBased():
-		if !fc.okA[p.A] || !fc.okB[p.B] {
-			return Missing
-		}
-		if f.Measure == simfn.MAbsDiff {
-			return simfn.AbsDiff(fc.numA[p.A], fc.numB[p.B])
-		}
-		return simfn.RelDiff(fc.numA[p.A], fc.numB[p.B])
-	case isCountSet(f.Measure):
-		if v.IDsOnly {
-			return evalSetIDs(f.Measure, fc.idsA[p.A], fc.idsB[p.B])
-		}
-		return EvalCountSetPacked(f.Measure, &fc.packA[p.A], &fc.packB[p.B])
-	case f.Measure == simfn.MMongeElkan:
-		return s.MongeElkan(fc.tokA[p.A], fc.tokB[p.B])
-	case f.Measure.CorpusBased():
-		if f.Measure == simfn.MTFIDF {
-			return simfn.TFIDFDocs(&fc.docA[p.A], &fc.docB[p.B])
-		}
-		return simfn.SoftTFIDFDocs(&fc.docA[p.A], &fc.docB[p.B], s)
-	default:
-		return f.evalStringsScratch(fc.normA[p.A], fc.normB[p.B], s)
-	}
-}
-
-// evalReference is the retired per-pair path, kept verbatim for the golden
-// equivalence tests: string token sets through the allocating simfn set
-// measures, and per-pair normalization for the sequence measures.
-func (v *Vectorizer) evalReference(f *Feature, p table.Pair) float64 {
-	switch {
-	case f.Measure.NumericBased():
-		x, okx := v.number(true, f.ACol, p.A)
-		y, oky := v.number(false, f.BCol, p.B)
-		if !okx || !oky {
-			return Missing
-		}
-		if f.Measure == simfn.MAbsDiff {
-			return simfn.AbsDiff(x, y)
-		}
-		return simfn.RelDiff(x, y)
-	case f.Measure.SetBased():
-		ta := v.tokens(true, f.ACol, f.Token, p.A)
-		tb := v.tokens(false, f.BCol, f.Token, p.B)
-		return f.evalSets(ta, tb)
-	default:
-		av := v.A.Value(p.A, f.ACol)
-		bv := v.B.Value(p.B, f.BCol)
-		if table.IsMissing(av) {
-			av = ""
-		}
-		if table.IsMissing(bv) {
-			bv = ""
-		}
-		return f.evalStrings(strings.ToLower(strings.TrimSpace(av)), strings.ToLower(strings.TrimSpace(bv)))
-	}
 }
 
 // Warm pre-builds every column cache the feature set can touch — including
-// the per-feature resolved bundles — so that subsequent concurrent
+// the per-feature resolved operand pairs — so that subsequent concurrent
 // evaluation never takes the write lock and the per-pair path is
 // allocation-free (modulo the returned Values).
 func (v *Vectorizer) Warm() {
 	for i := range v.Set.Features {
-		f := &v.Set.Features[i]
-		v.featData(f)
-		// The reference path additionally reads raw token columns for all
-		// set measures; featData covers them for every family except the
-		// count-set measures, whose bundle holds only encoded IDs.
-		if isCountSet(f.Measure) {
-			v.tokenCol(true, f.ACol, f.Token)
-			v.tokenCol(false, f.BCol, f.Token)
-		}
+		v.featData(&v.Set.Features[i])
 	}
 }
 
 // batchBuf pools the reusable state of one BlockingVectorsBatch call — the
-// value row handed to visit and the hoisted per-feature bundle loads — so
+// value row handed to visit and the hoisted per-feature operand loads — so
 // steady-state batch scoring allocates nothing.
 type batchBuf struct {
-	vals  []float64
-	feats []*Feature
-	cols  []*featCols
+	vals []float64
+	cols []*featCols
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
@@ -570,9 +369,9 @@ var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
 // BlockingVectorsBatch evaluates the blocking features of pair (a, bRow) for
 // every bRow in bRows, calling visit(i, values) in input order. values is
 // indexed by position in Set.BlockingIdx, reused across rows, and valid only
-// during the visit call. Each row computes exactly what BlockingVectorScratch
+// during the visit call. Each row computes exactly what BlockingVector
 // computes — same features, same order, same arithmetic — with the scratch
-// acquisition, column-bundle loads, and Values allocation hoisted out of the
+// acquisition, operand loads, and Values allocation hoisted out of the
 // per-pair loop.
 func (v *Vectorizer) BlockingVectorsBatch(a int, bRows []int32, visit func(i int, values []float64)) {
 	idx := v.Set.BlockingIdx
@@ -584,27 +383,13 @@ func (v *Vectorizer) BlockingVectorsBatch(a int, bRows []int32, visit func(i int
 		bb.vals = make([]float64, len(idx))
 	}
 	vals := bb.vals[:len(idx)]
-	if v.Reference {
-		// The oracle path stays per-pair; evalCached routes to it.
-		for i, bRow := range bRows {
-			p := table.Pair{A: a, B: int(bRow)}
-			for j, fi := range idx {
-				vals[j] = v.evalCached(&v.Set.Features[fi], p, s)
-			}
-			visit(i, vals)
-		}
-		return
-	}
-	bb.feats, bb.cols = bb.feats[:0], bb.cols[:0]
+	bb.cols = bb.cols[:0]
 	for _, fi := range idx {
-		f := &v.Set.Features[fi]
-		bb.feats = append(bb.feats, f)
-		bb.cols = append(bb.cols, v.featData(f))
+		bb.cols = append(bb.cols, v.featData(&v.Set.Features[fi]))
 	}
 	for i, bRow := range bRows {
-		p := table.Pair{A: a, B: int(bRow)}
-		for j, f := range bb.feats {
-			vals[j] = v.evalWithCols(f, bb.cols[j], p, s)
+		for j, fi := range idx {
+			vals[j] = v.Set.Features[fi].EvalOperands(&bb.cols[j].a, a, &bb.cols[j].b, int(bRow), s)
 		}
 		visit(i, vals)
 	}
@@ -615,18 +400,7 @@ func (v *Vectorizer) VectorizeAll(pairs []table.Pair) []Vector {
 	s := simfn.GetScratch()
 	out := make([]Vector, len(pairs))
 	for i, p := range pairs {
-		out[i] = v.vector(p, v.Set.Features, nil, s)
-	}
-	simfn.PutScratch(s)
-	return out
-}
-
-// BlockingVectorizeAll converts a pair list into blocking-feature vectors.
-func (v *Vectorizer) BlockingVectorizeAll(pairs []table.Pair) []Vector {
-	s := simfn.GetScratch()
-	out := make([]Vector, len(pairs))
-	for i, p := range pairs {
-		out[i] = v.vector(p, v.Set.Features, v.Set.BlockingIdx, s)
+		out[i] = v.vector(p, nil, s)
 	}
 	simfn.PutScratch(s)
 	return out

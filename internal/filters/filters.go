@@ -176,6 +176,8 @@ type specKey struct {
 	measure simfn.Measure
 }
 
+func (s IndexSpec) key() specKey { return specKey{s.Kind, s.ACol, s.Token, s.Measure} }
+
 // NeededIndexes returns the de-duplicated index specs for all filterable
 // clauses, merging thresholds downward so one index serves every predicate
 // on the same (column, tokenization, measure).
@@ -188,7 +190,7 @@ func (a *Analysis) NeededIndexes() []IndexSpec {
 		}
 		for _, bp := range c.Preds {
 			spec := bp.indexSpec()
-			k := specKey{spec.Kind, spec.ACol, spec.Token, spec.Measure}
+			k := spec.key()
 			if prev, ok := merged[k]; ok {
 				if spec.Threshold < prev.Threshold {
 					prev.Threshold = spec.Threshold

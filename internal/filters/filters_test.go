@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -203,7 +204,9 @@ func TestRangeBounds(t *testing.T) {
 	RangeBounds(simfn.MJaccard, 1, 1)
 }
 
-// buildAnalysis creates a realistic rule set and builds its indexes.
+// buildAnalysis creates a rule set whose CNF has a predicate of every
+// filter kind — PrefixSet; Equivalence ∪ Range; ShareGram ∪ Range — plus one
+// unfilterable clause, and builds its indexes.
 func buildAnalysis(t *testing.T, a, b *table.Table) (*Analysis, *Indexes, *feature.Set, []rules.Rule) {
 	t.Helper()
 	set := feature.Generate(a, b)
@@ -211,12 +214,19 @@ func buildAnalysis(t *testing.T, a, b *table.Table) (*Analysis, *Indexes, *featu
 	jw := featPos(set, "jaccard_word(title)")
 	em := featPos(set, "exact_match(year)")
 	ad := featPos(set, "abs_diff(price)")
+	lev := featPos(set, "levenshtein(year)")
+	rd := featPos(set, "rel_diff(price)")
 	seq := []rules.Rule{
 		{ID: 0, Preds: []rules.Predicate{{Feature: jw, Op: rules.LE, Value: 0.5}}},
 		{ID: 1, Preds: []rules.Predicate{
 			{Feature: em, Op: rules.LE, Value: 0.5},
 			{Feature: ad, Op: rules.GE, Value: 20},
 		}},
+		{ID: 2, Preds: []rules.Predicate{
+			{Feature: lev, Op: rules.LT, Value: 0.7},
+			{Feature: rd, Op: rules.GT, Value: 0.4},
+		}},
+		{ID: 3, Preds: []rules.Predicate{{Feature: jw, Op: rules.GT, Value: 0.95}}},
 	}
 	an := Analyze(rules.ToCNF(seq), feats)
 	ix := NewIndexes(mapreduce.Default(), a)
@@ -226,6 +236,90 @@ func buildAnalysis(t *testing.T, a, b *table.Table) (*Analysis, *Indexes, *featu
 	return an, ix, set, seq
 }
 
+// ruleCandidates runs the walker for one B row with nothing carried over
+// from another row: a one-row batch binds a fresh plan and walker.
+func ruleCandidates(ix *Indexes, an *Analysis, use []int, b *table.Table, row int) (cands []int32, all bool, cost int64) {
+	ix.RuleCandidatesBatch(an, use, b, []int{row}, func(_ int, c []int32, isAll bool, n int64) {
+		cands, all, cost = slices.Clone(c), isAll, n
+	})
+	return cands, all, cost
+}
+
+// refRuleCandidates is the per-row reference the walker is held to: the
+// same C_Q ← ∩_q ∪_p step written the obvious way — map-based unions and
+// intersections, raw cells parsed and probed per call, prefix predicates
+// through the string-keyed ReferenceProbe — with the walker's cost
+// accounting (1 + results per hash or range probe, lookups + 1 per prefix
+// probe; a clause stops at its first predicate that cannot prune, the rule
+// at its first empty intersection).
+func refRuleCandidates(ix *Indexes, an *Analysis, use []int, b *table.Table, row int) (cands []int32, all bool, cost int64) {
+	if use == nil {
+		use = an.FilterableClauses()
+	}
+	var acc map[int32]bool // nil until the first pruning clause
+	for _, ci := range use {
+		if !an.Clauses[ci].Filterable {
+			continue
+		}
+		clause, clauseAll := map[int32]bool{}, false
+		for _, bp := range an.Clauses[ci].Preds {
+			cell := b.Value(row, bp.Feat.BCol)
+			var got []int32
+			switch bp.Kind {
+			case Equivalence:
+				got = ix.hash[bp.Feat.ACol].Probe(cell)
+				cost += int64(1 + len(got))
+			case Range:
+				y, ok := table.ParseNum(cell)
+				if !ok {
+					cost++
+					clauseAll = bp.Pred.Eval(feature.Missing)
+					break
+				}
+				lo, hi := RangeBounds(bp.Feat.Measure, y, bp.Threshold)
+				got = ix.tree[bp.Feat.ACol].ProbeRange(lo, hi)
+				if bp.Pred.Eval(feature.Missing) {
+					got = append(got, ix.tree[bp.Feat.ACol].Unparseable()...)
+				}
+				cost += int64(1 + len(got))
+			default:
+				var probes int64
+				got, probes = ix.prefix[bp.indexSpec().key()].ReferenceProbe(bp.Feat.Measure, bp.Threshold, cell)
+				cost += probes + 1
+			}
+			if clauseAll {
+				break
+			}
+			for _, id := range got {
+				clause[id] = true
+			}
+		}
+		if clauseAll {
+			continue
+		}
+		if acc == nil {
+			acc = clause
+			continue
+		}
+		for id := range acc {
+			if !clause[id] {
+				delete(acc, id)
+			}
+		}
+		if len(acc) == 0 {
+			return nil, false, cost
+		}
+	}
+	if acc == nil {
+		return nil, true, cost
+	}
+	for id := range acc {
+		cands = append(cands, id)
+	}
+	slices.Sort(cands)
+	return cands, false, cost
+}
+
 // TestRuleCandidatesComplete is the soundness property of Algorithm 1: every
 // pair the CNF rule keeps must appear in the candidate set.
 func TestRuleCandidatesComplete(t *testing.T) {
@@ -233,7 +327,7 @@ func TestRuleCandidatesComplete(t *testing.T) {
 	an, ix, set, _ := buildAnalysis(t, a, b)
 	vz := feature.NewVectorizer(set, a, b)
 	for row := 0; row < b.Len(); row++ {
-		cands, all, _ := ix.RuleCandidates(an, nil, b, row)
+		cands, all, _ := ruleCandidates(ix, an, nil, b, row)
 		inCands := map[int32]bool{}
 		for _, c := range cands {
 			inCands[c] = true
@@ -252,7 +346,7 @@ func TestRuleCandidatesPrune(t *testing.T) {
 	an, ix, _, _ := buildAnalysis(t, a, b)
 	totalCands, probes := 0, int64(0)
 	for row := 0; row < b.Len(); row++ {
-		cands, all, cost := ix.RuleCandidates(an, nil, b, row)
+		cands, all, cost := ruleCandidates(ix, an, nil, b, row)
 		if all {
 			t.Fatalf("row %d: filters should prune", row)
 		}
@@ -275,13 +369,38 @@ func TestClauseCandidatesUnfilterable(t *testing.T) {
 	seq := []rules.Rule{{ID: 0, Preds: []rules.Predicate{{Feature: jw, Op: rules.GT, Value: 0.6}}}}
 	an := Analyze(rules.ToCNF(seq), feats)
 	ix := NewIndexes(mapreduce.Default(), a)
-	_, all, _ := ix.ClauseCandidates(an.Clauses[0], b, 0)
+	_, all, _ := ruleCandidates(ix, an, []int{0}, b, 0)
 	if !all {
 		t.Fatal("unfilterable clause must return all=true")
 	}
-	_, all, _ = ix.RuleCandidates(an, nil, b, 0)
+	_, all, _ = ruleCandidates(ix, an, nil, b, 0)
 	if !all {
 		t.Fatal("rule with no filterable clause must return all=true")
+	}
+}
+
+// TestBindNeedsBuiltIndexes: a plan binds only to indexes that exist and
+// were built at a threshold its predicates can use.
+func TestBindNeedsBuiltIndexes(t *testing.T) {
+	a, b := booksTables(30, 10, 13)
+	an, ix, _, _ := buildAnalysis(t, a, b)
+	if _, err := ix.Bind(an, nil); err != nil {
+		t.Fatalf("complete registry: %v", err)
+	}
+	if _, err := NewIndexes(mapreduce.Default(), a).Bind(an, nil); err == nil {
+		t.Fatal("bound a plan to an empty registry")
+	}
+	strict := NewIndexes(mapreduce.Default(), a)
+	for _, spec := range an.NeededIndexes() {
+		if spec.Kind == PrefixSet {
+			spec.Threshold = 0.9 // the rule needs jaccard > 0.5
+		}
+		if _, err := strict.EnsureSpec(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := strict.Bind(an, nil); err == nil {
+		t.Fatal("bound a predicate to a prefix index built at a higher threshold")
 	}
 }
 
@@ -334,25 +453,20 @@ func TestEnsureSpecThresholdRebuild(t *testing.T) {
 }
 
 func TestSetOps(t *testing.T) {
-	u := unionSorted([][]int32{{1, 3, 5}, {2, 3, 6}, {5}})
-	want := []int32{1, 2, 3, 5, 6}
-	if len(u) != len(want) {
-		t.Fatalf("union = %v", u)
+	u := union(nil, union(nil, []int32{1, 3, 5}, []int32{2, 3, 6}), []int32{5})
+	if want := []int32{1, 2, 3, 5, 6}; !slices.Equal(u, want) {
+		t.Fatalf("union = %v, want %v", u, want)
 	}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatalf("union = %v", u)
-		}
+	i := intersect(nil, []int32{1, 2, 3, 7}, []int32{2, 3, 4, 7})
+	if want := []int32{2, 3, 7}; !slices.Equal(i, want) {
+		t.Fatalf("intersect = %v, want %v", i, want)
 	}
-	i := intersectSorted([]int32{1, 2, 3, 7}, []int32{2, 3, 4, 7})
-	if len(i) != 3 || i[0] != 2 || i[2] != 7 {
-		t.Fatalf("intersect = %v", i)
+	if got := union(nil, nil, nil); len(got) != 0 {
+		t.Fatalf("empty union = %v", got)
 	}
-	if unionSorted(nil) != nil {
-		t.Fatal("empty union should be nil")
-	}
-	if got := unionSorted([][]int32{{9}}); len(got) != 1 {
-		t.Fatal("single union wrong")
+	// Both append to dst and leave what is already there alone.
+	if got := intersect(union([]int32{9}, []int32{1}, nil), []int32{4}, []int32{4}); !slices.Equal(got, []int32{9, 1, 4}) {
+		t.Fatalf("append-into-dst = %v", got)
 	}
 }
 
@@ -362,7 +476,7 @@ func TestQuickCandidatesSortedUnique(t *testing.T) {
 	an, ix, _, _ := buildAnalysis(t, a, b)
 	f := func(row uint8) bool {
 		r := int(row) % b.Len()
-		cands, all, _ := ix.RuleCandidates(an, nil, b, r)
+		cands, all, _ := ruleCandidates(ix, an, nil, b, r)
 		if all {
 			return true
 		}
@@ -388,8 +502,8 @@ func TestQuickClauseSubsetMonotone(t *testing.T) {
 	}
 	f := func(row uint8) bool {
 		r := int(row) % b.Len()
-		full, fAll, _ := ix.RuleCandidates(an, all, b, r)
-		part, pAll, _ := ix.RuleCandidates(an, all[:1], b, r)
+		full, fAll, _ := ruleCandidates(ix, an, all, b, r)
+		part, pAll, _ := ruleCandidates(ix, an, all[:1], b, r)
 		if fAll || pAll {
 			return true
 		}
@@ -409,41 +523,63 @@ func TestQuickClauseSubsetMonotone(t *testing.T) {
 	}
 }
 
-// TestRuleCandidatesBatchEquivalence: the batched entry point must report,
-// for every row, exactly what the per-row path reports — same candidates,
-// same all flag, same probe cost — in both the ID path and Reference mode
-// (where every prefix predicate takes the per-row fallback inside the batch).
+// TestRuleCandidatesBatchEquivalence: for every row and every clause subset
+// the strategies use (the whole rule, one clause, one predicate), a walker
+// reused across the whole stripe must report exactly what the per-row
+// reference reports — same candidates, same all flag, same probe cost — and
+// exactly what a walker with fresh buffers per row reports.
 func TestRuleCandidatesBatchEquivalence(t *testing.T) {
 	a, b := booksTables(200, 60, 12)
 	an, ix, _, _ := buildAnalysis(t, a, b)
-	for _, ref := range []bool{false, true} {
-		ix.Reference = ref
-		rows := make([]int, 0, b.Len())
-		for r := 0; r < b.Len(); r++ {
-			rows = append(rows, r)
+	rows := make([]int, b.Len())
+	for r := range rows {
+		rows[r] = r
+	}
+	type sub struct {
+		name string
+		an   *Analysis
+		use  []int
+	}
+	subs := []sub{{"rule", an, nil}, {"unfilterable-clause", an, []int{3}}}
+	kinds := map[Kind]bool{}
+	for ci, c := range an.Clauses {
+		if !c.Filterable {
+			continue
 		}
-		visited := 0
-		ix.RuleCandidatesBatch(an, nil, b, rows, func(i int, cands []int32, all bool, cost int64) {
+		subs = append(subs, sub{fmt.Sprintf("clause%d", ci), an, []int{ci}})
+		for pi, bp := range c.Preds {
+			kinds[bp.Kind] = true
+			only := &Analysis{Clauses: []ClauseInfo{{Preds: []BoundPred{bp}, Filterable: true}}}
+			subs = append(subs, sub{fmt.Sprintf("clause%d/pred%d", ci, pi), only, nil})
+		}
+	}
+	if len(kinds) != 4 {
+		t.Fatalf("fixture covers filter kinds %v, want all four", kinds)
+	}
+	for _, sb := range subs {
+		visited, pruned := 0, 0
+		ix.RuleCandidatesBatch(sb.an, sb.use, b, rows, func(i int, cands []int32, all bool, cost int64) {
 			if i != visited {
-				t.Fatalf("ref=%v: visit order %d, want %d", ref, i, visited)
+				t.Fatalf("%s: visit order %d, want %d", sb.name, i, visited)
 			}
 			visited++
-			wc, wAll, wCost := ix.RuleCandidates(an, nil, b, rows[i])
-			if all != wAll || cost != wCost {
-				t.Fatalf("ref=%v row %d: (all,cost)=(%v,%d), want (%v,%d)", ref, rows[i], all, cost, wAll, wCost)
+			if !all {
+				pruned++
 			}
-			if len(cands) != len(wc) {
-				t.Fatalf("ref=%v row %d: %d candidates, want %d", ref, rows[i], len(cands), len(wc))
+			wc, wAll, wCost := refRuleCandidates(ix, sb.an, sb.use, b, rows[i])
+			if all != wAll || cost != wCost || !slices.Equal(cands, wc) {
+				t.Fatalf("%s row %d: (cands,all,cost)=(%v,%v,%d), reference (%v,%v,%d)", sb.name, rows[i], cands, all, cost, wc, wAll, wCost)
 			}
-			for j := range cands {
-				if cands[j] != wc[j] {
-					t.Fatalf("ref=%v row %d: cands[%d]=%d, want %d", ref, rows[i], j, cands[j], wc[j])
-				}
+			fc, fAll, fCost := ruleCandidates(ix, sb.an, sb.use, b, rows[i])
+			if all != fAll || cost != fCost || !slices.Equal(cands, fc) {
+				t.Fatalf("%s row %d: (cands,all,cost)=(%v,%v,%d), fresh walker (%v,%v,%d)", sb.name, rows[i], cands, all, cost, fc, fAll, fCost)
 			}
 		})
 		if visited != len(rows) {
-			t.Fatalf("ref=%v: visited %d rows, want %d", ref, visited, len(rows))
+			t.Fatalf("%s: visited %d rows, want %d", sb.name, visited, len(rows))
+		}
+		if (pruned == 0) != (sb.name == "unfilterable-clause") {
+			t.Fatalf("%s: %d of %d rows pruned", sb.name, pruned, len(rows))
 		}
 	}
-	ix.Reference = false
 }

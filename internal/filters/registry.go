@@ -2,9 +2,8 @@ package filters
 
 import (
 	"context"
+	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -27,12 +26,6 @@ type Indexes struct {
 	tree   map[int]*index.TreeIndex
 	ord    map[ordKey]*index.Ordering
 	prefix map[specKey]*index.PrefixIndex
-
-	// Reference routes prefix probes through the retired string-keyed path
-	// (per-probe tokenization + map dedup). Test-only: the golden
-	// equivalence tests prove both paths produce identical candidates,
-	// probe counts, and therefore SimTime.
-	Reference bool
 
 	// bcols caches probe-side columns dictionary-encoded under a prefix
 	// index's ordering, so probing B re-tokenizes nothing. Built whole-
@@ -68,15 +61,11 @@ func NewIndexes(cluster *mapreduce.Cluster, a *table.Table) *Indexes {
 	}
 }
 
-// encodedCol returns the b column encoded as sorted token-ID sets under the
-// ordering for ok, building it on first access. Tokens the ordering does
-// not know get distinct extension IDs ≥ Ordering.Len(): they keep the probe
-// set's length and the known tokens' positions, carry no postings, and cost
-// one lookup each — exactly the string path's behavior (see the ProbeIDs
-// contract). Raw values are encoded as-is (no missing-value check), again
-// matching the string probe, which tokenizes whatever the tuple holds.
-func (ix *Indexes) encodedCol(b *table.Table, col int, ok ordKey) [][]uint32 {
-	k := bcolKey{b, col, ok}
+// encodedCol returns the probing table's column for pp encoded as sorted
+// token-ID sets under pp's index ordering (PlanPred.EncodeProbe per cell),
+// building it on first access, so probing B re-tokenizes nothing.
+func (ix *Indexes) encodedCol(b *table.Table, pp *PlanPred) [][]uint32 {
+	k := bcolKey{b, pp.Feat.BCol, ordKey{pp.Feat.ACol, pp.prefix.Kind}}
 	ix.mu.RLock()
 	rows, hit := ix.bcols[k]
 	ix.mu.RUnlock()
@@ -88,45 +77,28 @@ func (ix *Indexes) encodedCol(b *table.Table, col int, ok ordKey) [][]uint32 {
 	if rows, hit := ix.bcols[k]; hit {
 		return rows
 	}
-	ord := ix.ord[ok]
-	dict := ord.Dict()
-	ext := tokenize.NewDict()
-	base := uint32(ord.Len())
 	rows = make([][]uint32, b.Len())
 	for row := range rows {
-		toks := tokenize.Set(ok.kind, b.Value(row, col))
-		if len(toks) == 0 {
-			continue
-		}
-		ids := make([]uint32, len(toks))
-		for i, t := range toks {
-			if id, known := dict.ID(t); known {
-				ids[i] = id
-			} else {
-				ids[i] = base + ext.Intern(t)
-			}
-		}
-		slices.Sort(ids)
-		rows[row] = ids
+		rows[row] = pp.EncodeProbe(nil, b.Value(row, k.col))
 	}
 	ix.bcols[k] = rows //falcon:allow streambound one entry per (table, column, ordering) triple — bounded by the schema, not the record stream
 	return rows
 }
 
-// probePrefix probes one prefix index for b's row, serving the probe token
-// set from the encoded column cache. Indexes whose build tokens fell
-// outside their ordering (only possible with a mismatched ordering) keep
-// string-keyed postings the ID path cannot see, so they take the
-// string-probing path instead.
-func (ix *Indexes) probePrefix(idx *index.PrefixIndex, bp BoundPred, b *table.Table, row int) ([]int32, int64) {
-	if ix.Reference {
-		return idx.ReferenceProbe(bp.Feat.Measure, bp.Threshold, b.Value(row, bp.Feat.BCol))
-	}
-	if idx.HasExtension() {
-		return idx.Probe(bp.Feat.Measure, bp.Threshold, b.Value(row, bp.Feat.BCol))
-	}
-	rows := ix.encodedCol(b, bp.Feat.BCol, ordKey{bp.Feat.ACol, idx.Kind})
-	return idx.ProbeIDs(bp.Feat.Measure, bp.Threshold, rows[row])
+// InstallHash, InstallTree and InstallPrefix register an index built outside
+// the registry's MapReduce jobs: the serving path rebuilds hash and tree
+// indexes over the frozen B table in-process and restores prefix indexes
+// from the artifact's postings, then binds the same Plan batch does.
+func (ix *Indexes) InstallHash(col int, h *index.HashIndex) { ix.hash[col] = h }
+
+// InstallTree registers a tree index built in-process (see InstallHash).
+func (ix *Indexes) InstallTree(col int, t *index.TreeIndex) { ix.tree[col] = t }
+
+// InstallPrefix registers a prefix index restored from its parts, together
+// with its ordering (see InstallHash).
+func (ix *Indexes) InstallPrefix(spec IndexSpec, idx *index.PrefixIndex) {
+	ix.ord[ordKey{spec.ACol, spec.Token}] = idx.Ord()
+	ix.prefix[spec.key()] = idx
 }
 
 // EnsureOrdering builds (or reuses) the global token ordering for a
@@ -181,10 +153,7 @@ func (ix *Indexes) EnsureSpec(ctx context.Context, spec IndexSpec) (time.Duratio
 	case Range:
 		return ix.EnsureTree(ctx, spec.ACol)
 	case PrefixSet, ShareGram:
-		k := specKey{PrefixSet, spec.ACol, spec.Token, spec.Measure}
-		if spec.Kind == ShareGram {
-			k.kind = ShareGram
-		}
+		k := spec.key()
 		if old, ok := ix.prefix[k]; ok && old.Threshold <= spec.Threshold {
 			return 0, nil
 		}
@@ -228,8 +197,7 @@ func (ix *Indexes) SpecBytes(spec IndexSpec) int64 {
 			return t.SizeBytes()
 		}
 	case PrefixSet, ShareGram:
-		k := specKey{spec.Kind, spec.ACol, spec.Token, spec.Measure}
-		if p := ix.prefix[k]; p != nil {
+		if p := ix.prefix[spec.key()]; p != nil {
 			b := p.SizeBytes()
 			if o := ix.ord[ordKey{spec.ACol, spec.Token}]; o != nil {
 				b += o.SizeBytes()
@@ -249,7 +217,7 @@ func (ix *Indexes) ClauseBytes(ci ClauseInfo) int64 {
 			continue
 		}
 		spec := bp.indexSpec()
-		k := specKey{spec.Kind, spec.ACol, spec.Token, spec.Measure}
+		k := spec.key()
 		if seen[k] {
 			continue
 		}
@@ -277,78 +245,154 @@ func (ix *Indexes) TotalBytes() int64 {
 	return total
 }
 
-// PredCandidates returns the IDs of A tuples that may satisfy the bound
-// predicate against tuple row of B. all=true means the filter cannot prune
-// for this probe (every A tuple is a candidate). cost counts index probes
-// for the MapReduce cost model.
-func (ix *Indexes) PredCandidates(bp BoundPred, b *table.Table, row int) (cands []int32, all bool, cost int64) {
-	bv := b.Value(row, bp.Feat.BCol)
-	switch bp.Kind {
-	case Equivalence:
-		h := ix.hash[bp.Feat.ACol]
-		got := h.Probe(bv)
-		return got, false, int64(1 + len(got))
-	case Range:
-		if table.IsMissing(bv) {
-			// Feature value is Missing for every a; the keep predicate
-			// accepts Missing (e.g. −1 ≤ v), so nothing can be pruned.
-			return nil, bp.Pred.Eval(feature.Missing), 1
-		}
-		y, err := strconv.ParseFloat(strings.TrimSpace(bv), 64)
-		if err != nil {
-			return nil, bp.Pred.Eval(feature.Missing), 1
-		}
-		t := ix.tree[bp.Feat.ACol]
-		lo, hi := RangeBounds(bp.Feat.Measure, y, bp.Threshold)
-		got := t.ProbeRange(lo, hi)
-		// A-side unparseables also evaluate to Missing → keep.
-		if bp.Pred.Eval(feature.Missing) {
-			got = append(append([]int32(nil), got...), t.Unparseable()...)
-		}
-		sortIDs(got)
-		return got, false, int64(1 + len(got))
-	case PrefixSet:
-		k := specKey{PrefixSet, bp.Feat.ACol, bp.Feat.Token, bp.Feat.Measure}
-		got, probes := ix.probePrefix(ix.prefix[k], bp, b, row)
-		return got, false, probes + 1
-	case ShareGram:
-		k := specKey{ShareGram, bp.Feat.ACol, tokenize.Gram3, bp.Feat.Measure}
-		got, probes := ix.probePrefix(ix.prefix[k], bp, b, row)
-		return got, false, probes + 1
-	default:
-		return nil, true, 0
-	}
+// Plan is a CNF's filter analysis bound to built indexes: the predicates of
+// the clauses that can prune, clause by clause, each holding the index that
+// serves it. It is what a Walker runs, for a whole table stripe in batch and
+// for one record when serving. Immutable once bound.
+type Plan struct {
+	Preds []PlanPred
 }
 
-// ClauseCandidates unions predicate candidates for one clause (disjunction).
-func (ix *Indexes) ClauseCandidates(ci ClauseInfo, b *table.Table, row int) (cands []int32, all bool, cost int64) {
-	if !ci.Filterable {
-		return nil, true, 0
-	}
-	var lists [][]int32
-	for _, bp := range ci.Preds {
-		got, isAll, c := ix.PredCandidates(bp, b, row)
-		cost += c
-		if isAll {
-			return nil, true, cost
-		}
-		lists = append(lists, got)
-	}
-	return unionSorted(lists), false, cost
+// PlanPred is one filterable predicate bound to its index.
+type PlanPred struct {
+	BoundPred
+	keepMissing bool // the predicate accepts feature.Missing
+	endsClause  bool // last predicate of its clause
+	hash        *index.HashIndex
+	tree        *index.TreeIndex
+	prefix      *index.PrefixIndex
 }
 
-// RuleCandidates intersects the filterable clauses' candidates — the
-// C_Q ← ∩_q ∪_p FindProbableCandidates(V, p) step of Algorithm 1. Clauses
-// in `use` (indexes into a.Clauses) participate; pass nil to use all
-// filterable clauses. all=true means no clause pruned.
-func (ix *Indexes) RuleCandidates(a *Analysis, use []int, b *table.Table, row int) (cands []int32, all bool, cost int64) {
+// Bind resolves the filterable clauses among use (nil: all of them) to the
+// registry's indexes. It fails if an index the analysis needs was never
+// built, or was built at too high a threshold for its predicate.
+func (ix *Indexes) Bind(a *Analysis, use []int) (Plan, error) {
 	if use == nil {
 		use = a.FilterableClauses()
 	}
-	first := true
-	for _, cidx := range use {
-		got, isAll, c := ix.ClauseCandidates(a.Clauses[cidx], b, row)
-		cost += c
+	n := 0
+	for _, ci := range use {
+		if a.Clauses[ci].Filterable {
+			n += len(a.Clauses[ci].Preds)
+		}
+	}
+	p := Plan{Preds: make([]PlanPred, 0, n)}
+	for _, ci := range use {
+		if !a.Clauses[ci].Filterable {
+			continue
+		}
+		for _, bp := range a.Clauses[ci].Preds {
+			pp := PlanPred{BoundPred: bp, keepMissing: bp.Pred.Eval(feature.Missing)}
+			spec := bp.indexSpec()
+			switch bp.Kind {
+			case Equivalence:
+				pp.hash = ix.hash[spec.ACol]
+			case Range:
+				pp.tree = ix.tree[spec.ACol]
+			default:
+				pp.prefix = ix.prefix[spec.key()]
+			}
+			if pp.hash == nil && pp.tree == nil && pp.prefix == nil {
+				return Plan{}, fmt.Errorf("filters: no index built for %s", spec.Key())
+			}
+			if pp.prefix != nil && pp.prefix.Threshold > bp.Threshold {
+				return Plan{}, fmt.Errorf("filters: prefix index %s built at threshold %g, predicate needs %g",
+					spec.Key(), pp.prefix.Threshold, bp.Threshold)
+			}
+			p.Preds = append(p.Preds, pp)
+		}
+		p.Preds[len(p.Preds)-1].endsClause = true
+	}
+	return p, nil
+}
+
+// EncodeProbe appends a raw cell's probe operand for a prefix-kind predicate
+// to dst: its token IDs under the index ordering, sorted (nil dst: a fresh,
+// exactly-sized slice). The cell is tokenized as-is (no missing-value
+// check; a missing marker probes like any other short string, which is
+// sound for a filter), and tokens the ordering does not know get extension
+// IDs — the Prober.ProbeIDsInto contract.
+func (pp *PlanPred) EncodeProbe(dst []uint32, cell string) []uint32 {
+	toks := tokenize.Set(pp.prefix.Kind, cell)
+	if dst == nil {
+		dst = make([]uint32, 0, len(toks))
+	}
+	return pp.prefix.Ord().Dict().EncodeSorted(dst, toks)
+}
+
+// Probe is one predicate's probe operand, by value, so a table row and a
+// served record probe alike: the raw cell for Equivalence (the hash index
+// normalizes), the parsed cell for Range (table.ParseNum), the encoded
+// token set for PrefixSet/ShareGram (PlanPred.EncodeProbe).
+type Probe struct {
+	Raw string
+	Num float64
+	Ok  bool
+	IDs []uint32
+}
+
+// Walker runs a Plan: the C_Q ← ∩_q ∪_p FindProbableCandidates(V, p) step of
+// Algorithm 1, for one probe at a time. The caller sets Probe(i) for every
+// Plan.Preds[i] and calls Candidates; every result lands in buffers the
+// walker owns and reuses, and each prefix predicate probes through an index
+// session pinned for the walker's lifetime. Not safe for concurrent use;
+// use it in place (it is a value only so a batch can keep it on its stack).
+type Walker struct {
+	preds []PlanPred
+	state []predState
+	inter [2][]int32 // intersection double buffer
+}
+
+// predState is the walker's mutable state for one predicate.
+type predState struct {
+	probe  Probe
+	prober *index.Prober // pinned session; nil unless a prefix kind
+	buf    []int32       // prefix probe result
+	union  [2][]int32    // union double buffer of the clause this predicate opens
+}
+
+// NewWalker returns a walker over p with its index sessions pinned; pair it
+// with Release unless it lives as long as the plan's indexes do.
+func (p Plan) NewWalker() Walker {
+	w := Walker{preds: p.Preds, state: make([]predState, len(p.Preds))}
+	for i := range p.Preds {
+		if idx := p.Preds[i].prefix; idx != nil {
+			//falcon:allow scratchescape the walker owns the session; Release returns every prober
+			w.state[i].prober = idx.AcquireProber()
+		}
+	}
+	return w
+}
+
+// Release returns the walker's index sessions to their pools.
+func (w *Walker) Release() {
+	for i := range w.state {
+		if pr := w.state[i].prober; pr != nil {
+			pr.Release()
+		}
+	}
+}
+
+// Probe returns predicate i's probe operand, for the caller to set.
+func (w *Walker) Probe(i int) *Probe { return &w.state[i].probe }
+
+// Candidates intersects the plan's clauses for the current probe. all=true
+// means no clause pruned (every indexed tuple is a candidate); otherwise
+// cands is sorted, duplicate-free and valid until the next call. cost
+// counts index probes for the MapReduce cost model. Alternating the
+// destination buffer guarantees an accumulator never aliases the buffer
+// being written.
+//
+//falcon:hotpath
+func (w *Walker) Candidates() (cands []int32, all bool, cost int64) {
+	first, start, dst := true, 0, 0
+	for i := range w.preds {
+		if !w.preds[i].endsClause {
+			continue
+		}
+		got, isAll, n := w.clause(start, i+1)
+		start = i + 1
+		cost += n
 		if isAll {
 			continue
 		}
@@ -356,7 +400,9 @@ func (ix *Indexes) RuleCandidates(a *Analysis, use []int, b *table.Table, row in
 			cands, first = got, false
 			continue
 		}
-		cands = intersectSorted(cands, got)
+		w.inter[dst] = intersect(w.inter[dst][:0], cands, got)
+		cands = w.inter[dst]
+		dst ^= 1
 		if len(cands) == 0 {
 			return nil, false, cost
 		}
@@ -367,202 +413,105 @@ func (ix *Indexes) RuleCandidates(a *Analysis, use []int, b *table.Table, row in
 	return cands, false, cost
 }
 
-// batchPred is one predicate occurrence's hoisted probe state inside a
-// RuleCandidatesBatch call. pr != nil means the predicate probes through a
-// pinned index session (the batched ID path); otherwise it falls back to the
-// per-row PredCandidates path (Equivalence, Range, Reference mode, and
-// extension-carrying prefix indexes).
-type batchPred struct {
-	bp  BoundPred
-	pr  *index.Prober
-	col [][]uint32 // encoded probe column for the session path
-	buf []int32    // probe result buffer, reused across rows
-}
-
-// batchClause is one clause's hoisted batch state: its predicates plus union
-// buffers grown to the clause's high-water mark across the batch.
-type batchClause struct {
-	info   ClauseInfo
-	preds  []batchPred
-	lists  [][]int32
-	u1, u2 []int32
-}
-
-// candidates is ClauseCandidates through the hoisted state: identical
-// candidate IDs, all flag, and probe cost, with the probe and union results
-// landing in reused buffers. The returned slice is valid until the clause is
-// evaluated for the next row.
-func (bc *batchClause) candidates(ix *Indexes, b *table.Table, row int) (cands []int32, all bool, cost int64) {
-	if !bc.info.Filterable {
-		return nil, true, 0
-	}
-	bc.lists = bc.lists[:0]
-	for pi := range bc.preds {
-		p := &bc.preds[pi]
-		var got []int32
-		var isAll bool
-		var c int64
-		if p.pr != nil {
-			var probes int64
-			p.buf, probes = p.pr.ProbeIDsInto(p.bp.Feat.Measure, p.bp.Threshold, p.col[row], p.buf[:0])
-			got, isAll, c = p.buf, false, probes+1
-		} else {
-			got, isAll, c = ix.PredCandidates(p.bp, b, row)
-		}
-		cost += c
+// clause unions the candidates of predicates [start, end) — one clause, a
+// disjunction; one predicate that cannot prune makes the whole clause
+// unable to.
+//
+//falcon:hotpath
+func (w *Walker) clause(start, end int) (cands []int32, all bool, cost int64) {
+	u, dst := &w.state[start].union, 0
+	for i := start; i < end; i++ {
+		got, isAll, n := w.pred(i)
+		cost += n
 		if isAll {
 			return nil, true, cost
 		}
-		bc.lists = append(bc.lists, got)
+		if i == start {
+			cands = got
+			continue
+		}
+		u[dst] = union(u[dst][:0], cands, got)
+		cands = u[dst]
+		dst ^= 1
 	}
-	return bc.union(bc.lists), false, cost
+	return cands, false, cost
 }
 
-// union is unionSorted into the clause's double buffer. Alternating the
-// destination guarantees the accumulator never aliases the buffer being
-// written.
-func (bc *batchClause) union(lists [][]int32) []int32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	out := lists[0]
-	useFirst := true
-	for _, l := range lists[1:] {
-		var dst []int32
-		if useFirst {
-			dst = bc.u1[:0]
-		} else {
-			dst = bc.u2[:0]
+// pred returns the indexed tuples that may satisfy predicate i for the
+// current probe, sorted ascending.
+//
+//falcon:hotpath
+func (w *Walker) pred(i int) (cands []int32, all bool, cost int64) {
+	pp, st := &w.preds[i], &w.state[i]
+	switch pp.Kind {
+	case Equivalence:
+		got := pp.hash.Probe(st.probe.Raw)
+		return got, false, int64(1 + len(got))
+	case Range:
+		if !st.probe.Ok {
+			// The feature is Missing against every indexed tuple: nothing can
+			// be pruned if the keep predicate accepts Missing (e.g. −1 ≤ v),
+			// everything otherwise.
+			return nil, pp.keepMissing, 1
 		}
-		dst = mergeUnionInto(dst, out, l)
-		if useFirst {
-			bc.u1 = dst
-		} else {
-			bc.u2 = dst
+		lo, hi := RangeBounds(pp.Feat.Measure, st.probe.Num, pp.Threshold)
+		got := pp.tree.ProbeRange(lo, hi) // a fresh slice, in value order
+		if pp.keepMissing {
+			// Indexed unparseables also evaluate to Missing → keep.
+			got = append(got, pp.tree.Unparseable()...)
 		}
-		out = dst
-		useFirst = !useFirst
+		slices.Sort(got)
+		return got, false, int64(1 + len(got))
+	default: // PrefixSet, ShareGram
+		var probes int64
+		st.buf, probes = st.prober.ProbeIDsInto(pp.Feat.Measure, pp.Threshold, st.probe.IDs, st.buf[:0])
+		return st.buf, false, probes + 1
 	}
-	return out
 }
 
-// RuleCandidatesBatch runs RuleCandidates for every B row in rows, calling
-// visit(i, cands, all, cost) in input order. Per-row results are identical —
-// same candidate IDs, same all flag, same probe cost, in the same clause and
-// predicate order — but the per-row setup is hoisted out of the loop: each
-// prefix predicate pins one probe session (index.Prober) for the whole batch,
-// the encoded probe columns are resolved once, and probe, union, and
-// intersection results land in buffers reused across rows. cands is valid
-// only during the visit call.
+// RuleCandidatesBatch walks the filterable clauses among use (indexes into
+// a.Clauses; nil uses all) for every B row in rows, calling
+// visit(i, cands, all, cost) in input order. One walker serves the whole
+// batch: each prefix predicate pins one probe session, the encoded probe
+// columns are resolved once, and probe, union, and intersection results
+// land in buffers reused across rows. cands is valid only during the visit
+// call. Every index the clauses need must have been built (EnsureAll).
 func (ix *Indexes) RuleCandidatesBatch(a *Analysis, use []int, b *table.Table, rows []int, visit func(i int, cands []int32, all bool, cost int64)) {
-	if use == nil {
-		use = a.FilterableClauses()
+	plan, err := ix.Bind(a, use)
+	if err != nil {
+		panic(err)
 	}
-	clauses := make([]*batchClause, len(use))
-	for ci, cidx := range use {
-		bc := &batchClause{info: a.Clauses[cidx]}
-		if bc.info.Filterable {
-			for _, bp := range bc.info.Preds {
-				pred := batchPred{bp: bp}
-				if bp.Kind == PrefixSet || bp.Kind == ShareGram {
-					tok := bp.Feat.Token
-					if bp.Kind == ShareGram {
-						tok = tokenize.Gram3
-					}
-					idx := ix.prefix[specKey{bp.Kind, bp.Feat.ACol, tok, bp.Feat.Measure}]
-					if idx != nil && !ix.Reference && !idx.HasExtension() {
-						//falcon:allow scratchescape the batch owns the session for the stripe; the deferred cleanup releases every prober
-						pred.pr = idx.AcquireProber()
-						pred.col = ix.encodedCol(b, bp.Feat.BCol, ordKey{bp.Feat.ACol, idx.Kind})
-					}
-				}
-				bc.preds = append(bc.preds, pred)
+	w := plan.NewWalker()
+	defer w.Release()
+	var cols [][][]uint32 // per prefix predicate: the encoded probe column
+	for i := range plan.Preds {
+		if pp := &plan.Preds[i]; pp.prefix != nil {
+			if cols == nil {
+				cols = make([][][]uint32, len(plan.Preds))
 			}
+			cols[i] = ix.encodedCol(b, pp)
 		}
-		clauses[ci] = bc
 	}
-	defer func() {
-		for _, bc := range clauses {
-			for i := range bc.preds {
-				if bc.preds[i].pr != nil {
-					bc.preds[i].pr.Release()
-				}
-			}
-		}
-	}()
-
-	var i1, i2 []int32 // intersection double buffer
 	for ri, row := range rows {
-		var cands []int32
-		var cost int64
-		first, empty, useFirst := true, false, true
-		for _, bc := range clauses {
-			got, isAll, c := bc.candidates(ix, b, row)
-			cost += c
-			if isAll {
-				continue
-			}
-			if first {
-				cands, first = got, false
-				continue
-			}
-			var dst []int32
-			if useFirst {
-				dst = i1[:0]
-			} else {
-				dst = i2[:0]
-			}
-			dst = intersectInto(dst, cands, got)
-			if useFirst {
-				i1 = dst
-			} else {
-				i2 = dst
-			}
-			cands = dst
-			useFirst = !useFirst
-			if len(cands) == 0 {
-				empty = true
-				break
+		for i := range plan.Preds {
+			pp, pv := &plan.Preds[i], w.Probe(i)
+			switch pp.Kind {
+			case Equivalence:
+				pv.Raw = b.Value(row, pp.Feat.BCol)
+			case Range:
+				pv.Num, pv.Ok = table.ParseNum(b.Value(row, pp.Feat.BCol))
+			default:
+				pv.IDs = cols[i][row]
 			}
 		}
-		switch {
-		case first:
-			visit(ri, nil, true, cost)
-		case empty:
-			visit(ri, nil, false, cost)
-		default:
-			visit(ri, cands, false, cost)
-		}
+		cands, all, cost := w.Candidates()
+		visit(ri, cands, all, cost)
 	}
 }
 
-func sortIDs(ids []int32) { slices.Sort(ids) }
-
-// unionSorted merges sorted ID lists into a sorted, de-duplicated union.
-func unionSorted(lists [][]int32) []int32 {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	var out []int32
-	for _, l := range lists {
-		out = mergeUnion(out, l)
-	}
-	return out
-}
-
-func mergeUnion(a, b []int32) []int32 {
-	return mergeUnionInto(make([]int32, 0, len(a)+len(b)), a, b)
-}
-
-// mergeUnionInto appends the sorted de-duplicated union of a and b to dst.
-// dst must not alias a or b.
-func mergeUnionInto(dst, a, b []int32) []int32 {
+// union appends the sorted de-duplicated union of a and b to dst. dst must
+// not alias a or b.
+func union(dst, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -583,13 +532,9 @@ func mergeUnionInto(dst, a, b []int32) []int32 {
 	return dst
 }
 
-func intersectSorted(a, b []int32) []int32 {
-	return intersectInto(nil, a, b)
-}
-
-// intersectInto appends the sorted intersection of a and b to dst. dst must
+// intersect appends the sorted intersection of a and b to dst. dst must
 // not alias a or b.
-func intersectInto(dst, a, b []int32) []int32 {
+func intersect(dst, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

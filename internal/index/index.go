@@ -12,7 +12,6 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"falcon/internal/table"
@@ -30,7 +29,7 @@ type HashIndex struct {
 func BuildHash(t *table.Table, col int) *HashIndex {
 	h := &HashIndex{m: make(map[string][]int32)}
 	for i := 0; i < t.Len(); i++ {
-		v := normalize(t.Value(i, col))
+		v := table.Normalize(t.Value(i, col))
 		if v == "" {
 			continue
 		}
@@ -44,17 +43,10 @@ func BuildHash(t *table.Table, col int) *HashIndex {
 }
 
 // Probe returns the IDs of tuples whose value equals v (normalized).
-func (h *HashIndex) Probe(v string) []int32 { return h.m[normalize(v)] }
+func (h *HashIndex) Probe(v string) []int32 { return h.m[table.Normalize(v)] }
 
 // SizeBytes estimates the index memory footprint.
 func (h *HashIndex) SizeBytes() int64 { return h.bytes }
-
-func normalize(v string) string {
-	if table.IsMissing(v) {
-		return ""
-	}
-	return strings.ToLower(strings.TrimSpace(v))
-}
 
 // TreeIndex supports the range filter: a sorted array of (value, id),
 // standing in for a B-tree. Tuples whose value does not parse are kept
@@ -76,7 +68,7 @@ func BuildTree(t *table.Table, col int) *TreeIndex {
 	var ps []pair
 	var unparseable []int32
 	for i := 0; i < t.Len(); i++ {
-		if f, ok := parseNum(t.Value(i, col)); ok {
+		if f, ok := table.ParseNum(t.Value(i, col)); ok {
 			ps = append(ps, pair{f, int32(i)})
 		} else {
 			unparseable = append(unparseable, int32(i))
@@ -98,15 +90,6 @@ func BuildTree(t *table.Table, col int) *TreeIndex {
 
 // Unparseable returns the IDs of tuples whose value did not parse.
 func (ti *TreeIndex) Unparseable() []int32 { return ti.unparseable }
-
-func parseNum(s string) (float64, bool) {
-	s = strings.TrimSpace(s)
-	if table.IsMissing(s) {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	return f, err == nil
-}
 
 // ProbeRange returns IDs with value in [lo, hi].
 func (ti *TreeIndex) ProbeRange(lo, hi float64) []int32 {

@@ -362,10 +362,11 @@ func TestQuickThresholdMonotone(t *testing.T) {
 	}
 }
 
-// TestProbeBatchedEntryPoints proves the buffer-reusing probe entry points
-// (ProbeIDsInto, the Prober session, and ProbeIDsBatch) return exactly the
-// candidates and lookup counts of ProbeIDs, probe after probe, including
-// empty probes and scratch reuse across rows.
+// TestProbeBatchedEntryPoints holds the ID probe (a Prober session, fresh
+// per row and reused across rows, and ProbeIDsBatch over it) to the retired
+// string-keyed ReferenceProbe: same candidates and same lookup counts, probe
+// after probe, including an empty probe mid-batch, tokens the ordering has
+// never seen (extension IDs), and scratch reuse across rows.
 func TestProbeBatchedEntryPoints(t *testing.T) {
 	a := titlesTable(300, 6)
 	probeT := titlesTable(80, 7)
@@ -373,51 +374,36 @@ func TestProbeBatchedEntryPoints(t *testing.T) {
 	for _, thr := range []float64{0.4, 0.7} {
 		idx := BuildPrefix(a, 0, tokenize.Word, ord, simfn.MJaccard, thr)
 		rows := make([][]uint32, probeT.Len())
-		for r := range rows {
-			toks := tokenize.Set(tokenize.Word, probeT.Value(r, 0))
-			if r == 17 {
-				toks = nil // exercise the empty-probe path mid-batch
-			}
-			ids := make([]uint32, 0, len(toks))
-			for _, tok := range toks {
-				if id, known := ord.Dict().ID(tok); known {
-					ids = append(ids, id)
-				}
-			}
-			slices.Sort(ids)
-			rows[r] = ids
-		}
-
 		wantCands := make([][]int32, len(rows))
 		wantProbes := make([]int64, len(rows))
-		for r, ids := range rows {
-			wantCands[r], wantProbes[r] = idx.ProbeIDs(simfn.MJaccard, thr, ids)
+		for r := range rows {
+			val := probeT.Value(r, 0)
+			switch r {
+			case 17:
+				val = "" // exercise the empty-probe path mid-batch
+			case 23:
+				val += " omega unseen" // tokens outside the ordering
+			}
+			rows[r] = ord.Dict().EncodeSorted(nil, tokenize.Set(tokenize.Word, val))
+			wantCands[r], wantProbes[r] = idx.ReferenceProbe(simfn.MJaccard, thr, val)
 		}
 
-		// ProbeIDsInto with a shared, growing buffer.
+		// One session reused across every row, appending into a shared,
+		// growing buffer; and a fresh session and buffer per row.
+		p := idx.AcquireProber()
 		var buf []int32
 		for r, ids := range rows {
 			start := len(buf)
 			var n int64
-			buf, n = idx.ProbeIDsInto(simfn.MJaccard, thr, ids, buf)
-			if !slices.Equal(buf[start:], wantCands[r]) && len(buf[start:])+len(wantCands[r]) > 0 {
-				t.Fatalf("thr=%.1f row %d: ProbeIDsInto cands %v, want %v", thr, r, buf[start:], wantCands[r])
+			buf, n = p.ProbeIDsInto(simfn.MJaccard, thr, ids, buf)
+			if !slices.Equal(buf[start:], wantCands[r]) || n != wantProbes[r] {
+				t.Fatalf("thr=%.1f row %d: reused session got %v (%d lookups), want %v (%d)", thr, r, buf[start:], n, wantCands[r], wantProbes[r])
 			}
-			if n != wantProbes[r] {
-				t.Fatalf("thr=%.1f row %d: ProbeIDsInto probes %d, want %d", thr, r, n, wantProbes[r])
-			}
-		}
-
-		// Prober session reused across every row.
-		p := idx.AcquireProber()
-		for r, ids := range rows {
-			var got []int32
-			got, n := p.ProbeIDsInto(simfn.MJaccard, thr, ids, nil)
-			if !slices.Equal(got, wantCands[r]) && len(got)+len(wantCands[r]) > 0 {
-				t.Fatalf("thr=%.1f row %d: Prober cands %v, want %v", thr, r, got, wantCands[r])
-			}
-			if n != wantProbes[r] {
-				t.Fatalf("thr=%.1f row %d: Prober probes %d, want %d", thr, r, n, wantProbes[r])
+			fresh := idx.AcquireProber()
+			got, n := fresh.ProbeIDsInto(simfn.MJaccard, thr, ids, nil)
+			fresh.Release()
+			if !slices.Equal(got, wantCands[r]) || n != wantProbes[r] {
+				t.Fatalf("thr=%.1f row %d: fresh session got %v (%d lookups), want %v (%d)", thr, r, got, n, wantCands[r], wantProbes[r])
 			}
 		}
 		p.Release()
@@ -429,7 +415,7 @@ func TestProbeBatchedEntryPoints(t *testing.T) {
 			if row != visited {
 				t.Fatalf("batch visited row %d, want %d", row, visited)
 			}
-			if !slices.Equal(cands, wantCands[row]) && len(cands)+len(wantCands[row]) > 0 {
+			if !slices.Equal(cands, wantCands[row]) {
 				t.Fatalf("thr=%.1f row %d: batch cands %v, want %v", thr, row, cands, wantCands[row])
 			}
 			visited++
@@ -443,63 +429,51 @@ func TestProbeBatchedEntryPoints(t *testing.T) {
 	}
 }
 
+// TestPrefixFromPartsRejectsInconsistentParts: parts come from a decoded
+// artifact, so dangling cross-references must be an error, not a panic at
+// probe time.
+func TestPrefixFromPartsRejectsInconsistentParts(t *testing.T) {
+	a := titlesTable(40, 9)
+	ord := BuildOrdering(TokenFrequencies(a, 0, tokenize.Word))
+	ranked, post, setLen, ok := BuildPrefix(a, 0, tokenize.Word, ord, simfn.MJaccard, 0.5).Parts()
+	if !ok {
+		t.Fatal("index not exportable")
+	}
+	if _, err := PrefixFromParts(tokenize.Word, 0.5, OrderingOf(ranked), post, setLen); err != nil {
+		t.Fatalf("consistent parts rejected: %v", err)
+	}
+	if _, err := PrefixFromParts(tokenize.Word, 0.5, OrderingOf(ranked[:len(post)-1]), post, setLen); err == nil {
+		t.Fatal("more posting lists than ranked tokens accepted")
+	}
+	if _, err := PrefixFromParts(tokenize.Word, 0.5, OrderingOf(ranked), post, setLen[:len(setLen)/2]); err == nil {
+		t.Fatal("posting past the covered rows accepted")
+	}
+}
+
 // BenchmarkPrefixProbe measures prefix-index probe throughput over the
-// synthetic Products titles, comparing the retired string probe against the
-// dictionary-ID probe. The B rows are encoded once up front — mirroring the
-// filters-layer encoded-column cache, including extension IDs for tokens the
-// A-side ordering has never seen — so the timed loop isolates probe cost.
+// synthetic Products titles through a pinned Prober session. The B rows are
+// encoded once up front — mirroring the filters-layer encoded-column cache,
+// including extension IDs for tokens the A-side ordering has never seen — so
+// the timed loop isolates probe cost.
 func BenchmarkPrefixProbe(b *testing.B) {
 	ds := datagen.Products(0.05, 9)
 	col := ds.A.Schema.Col("title")
 	ord := BuildOrdering(TokenFrequencies(ds.A, col, tokenize.Word))
 	idx := BuildPrefix(ds.A, col, tokenize.Word, ord, simfn.MJaccard, 0.6)
 	bcol := ds.B.Schema.Col("title")
-	values := make([]string, ds.B.Len())
 	rows := make([][]uint32, ds.B.Len())
-	dict := ord.Dict()
-	ext := tokenize.NewDict()
-	base := uint32(ord.Len())
 	for r := range rows {
-		values[r] = ds.B.Value(r, bcol)
-		toks := tokenize.Set(tokenize.Word, values[r])
-		if len(toks) == 0 {
-			continue
-		}
-		ids := make([]uint32, len(toks))
-		for i, t := range toks {
-			if id, known := dict.ID(t); known {
-				ids[i] = id
-			} else {
-				ids[i] = base + ext.Intern(t)
-			}
-		}
-		slices.Sort(ids)
-		rows[r] = ids
+		rows[r] = ord.Dict().EncodeSorted(nil, tokenize.Set(tokenize.Word, ds.B.Value(r, bcol)))
 	}
-	b.Run("reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx.ReferenceProbe(simfn.MJaccard, 0.6, values[i%len(values)])
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "probes/s")
-	})
-	b.Run("ids", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx.ProbeIDs(simfn.MJaccard, 0.6, rows[i%len(rows)])
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "probes/s")
-	})
-	b.Run("bitparallel", func(b *testing.B) {
-		p := idx.AcquireProber()
-		defer p.Release()
-		buf := make([]int32, 0, 256)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = buf[:0]
-			buf, _ = p.ProbeIDsInto(simfn.MJaccard, 0.6, rows[i%len(rows)], buf)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "probes/s")
-	})
+	p := idx.AcquireProber()
+	defer p.Release()
+	buf := make([]int32, 0, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = p.ProbeIDsInto(simfn.MJaccard, 0.6, rows[i%len(rows)], buf[:0])
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "probes/s")
 }
 
 func BenchmarkBuildPrefix(b *testing.B) {

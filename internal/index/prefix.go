@@ -2,6 +2,7 @@ package index
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -189,8 +190,13 @@ func (idx *PrefixIndex) Parts() (ranked []string, post [][]Posting, setLen []int
 // PrefixFromParts rebuilds an index exported by Parts. The byte accounting
 // (len(token)+48 per distinct posted token, 12 per posting, 4 per setLen
 // entry) and the probe-scratch pool match BuildPrefix, so a rebuilt index
-// probes and meters identically to the one built at train time.
-func PrefixFromParts(kind tokenize.Kind, threshold float64, ord *Ordering, post [][]Posting, setLen []int32) *PrefixIndex {
+// probes and meters identically to the one built at train time. The parts
+// come from a decoded artifact, so their cross-references are checked: every
+// posting list needs a rank in ord and every posting a row in setLen.
+func PrefixFromParts(kind tokenize.Kind, threshold float64, ord *Ordering, post [][]Posting, setLen []int32) (*PrefixIndex, error) {
+	if len(post) > ord.Len() {
+		return nil, fmt.Errorf("index: %d posting lists for %d ranked tokens", len(post), ord.Len())
+	}
 	idx := &PrefixIndex{
 		Kind:      kind,
 		Threshold: threshold,
@@ -204,10 +210,15 @@ func PrefixFromParts(kind tokenize.Kind, threshold float64, ord *Ordering, post 
 		if len(ps) > 0 {
 			idx.bytes += int64(len(ord.dict.Token(uint32(id)))) + 48
 		}
+		for _, pst := range ps {
+			if pst.ID < 0 || int(pst.ID) >= n {
+				return nil, fmt.Errorf("index: posting for row %d, index covers %d rows", pst.ID, n)
+			}
+		}
 		idx.bytes += 12 * int64(len(ps))
 	}
 	idx.bytes += int64(len(setLen)) * 4
-	return idx
+	return idx, nil
 }
 
 // BuildPrefix builds the index over column col of t for the given measure
@@ -268,33 +279,16 @@ func (idx *PrefixIndex) filterPosting(s *probeScratch, m simfn.Measure, threshol
 		}
 	}
 	s.seen.Set(int(pst.ID))
-	s.cands = append(s.cands, pst.ID) //falcon:allow streambound pooled probe scratch, truncated to [:0] by finishProbe/drainSorted after every probe
-}
-
-// finishProbe sorts and copies out the candidates and returns the scratch
-// to the pool with its bitmap cleared.
-func (idx *PrefixIndex) finishProbe(s *probeScratch) []int32 {
-	var cands []int32
-	if len(s.cands) > 0 {
-		slices.Sort(s.cands)
-		//falcon:allow servebudget the single exactly-sized result slice per probe; dedup bitmap and accumulator come from the pool
-		cands = make([]int32, len(s.cands))
-		copy(cands, s.cands)
-	}
-	for _, id := range s.cands {
-		s.seen.Clear(int(id))
-	}
-	s.cands = s.cands[:0]
-	idx.scratch.Put(s)
-	return cands
+	s.cands = append(s.cands, pst.ID) //falcon:allow streambound pooled probe scratch, truncated to [:0] by drainSorted after every probe
 }
 
 // Probe returns candidate tuple IDs that may satisfy measure ≥ threshold
 // against the probe value, applying prefix, length, and position filters.
 // probes counts index lookups for cost accounting.
 //
-// The probe value is tokenized and reordered per call; hot paths that probe
-// whole columns should encode once and use ProbeIDs instead.
+// The probe value is tokenized and reordered per call, and indexes built
+// under a mismatched ordering (HasExtension) are still answered; hot paths
+// encode the probe once and go through a Prober instead.
 func (idx *PrefixIndex) Probe(m simfn.Measure, threshold float64, value string) (cands []int32, probes int64) {
 	idx.checkThreshold(threshold)
 	tokens := idx.ord.Reorder(tokenize.Set(idx.Kind, value))
@@ -313,36 +307,9 @@ func (idx *PrefixIndex) Probe(m simfn.Measure, threshold float64, value string) 
 			idx.filterPosting(s, m, threshold, ly, pos, pst, lo, hi, hasLen)
 		}
 	}
-	return idx.finishProbe(s), probes
-}
-
-// collectIDProbe runs one encoded probe into the scratch: prefix length and
-// length-filter bounds are computed once up front, then every posting under
-// the prefix goes through the length/position filters. Survivors accumulate
-// unsorted in s.cands with the seen bitmap deduplicating. Returns the lookup
-// count (1 per prefix position + 1 per posting, exactly like the string
-// path).
-//
-//falcon:hotpath
-func (idx *PrefixIndex) collectIDProbe(s *probeScratch, m simfn.Measure, threshold float64, ids []uint32) (probes int64) {
-	ly := len(ids)
-	if ly == 0 {
-		return 0
-	}
-	p := PrefixLen(m, ly, threshold)
-	lo, hi, hasLen := LengthBounds(m, ly, threshold)
-	for pos := 0; pos < p; pos++ {
-		var plist []Posting
-		if id := ids[pos]; int64(id) < int64(len(idx.post)) {
-			plist = idx.post[id]
-		}
-		probes++
-		for _, pst := range plist {
-			probes++
-			idx.filterPosting(s, m, threshold, ly, pos, pst, lo, hi, hasLen)
-		}
-	}
-	return probes
+	cands = drainSorted(s, nil)
+	idx.scratch.Put(s)
+	return cands, probes
 }
 
 // drainSorted sorts the accumulated candidates, appends them to dst, and
@@ -360,48 +327,11 @@ func drainSorted(s *probeScratch, dst []int32) []int32 {
 	return dst
 }
 
-// ProbeIDs is Probe over a dictionary-encoded token set: ids must be the
-// probe value's token IDs under the index ordering's dictionary, sorted
-// ascending (= reordered), with tokens unknown to the ordering encoded as
-// any distinct values ≥ Ordering.Len(). Unknown tokens have no postings but
-// still cost one lookup each, exactly like the string path. ProbeIDs
-// requires an index without extension tokens (see hasExtension); the
-// registry guarantees that by falling back to Probe.
-//
-//falcon:hotpath
-func (idx *PrefixIndex) ProbeIDs(m simfn.Measure, threshold float64, ids []uint32) (cands []int32, probes int64) {
-	idx.checkThreshold(threshold)
-	if len(ids) == 0 {
-		return nil, 0
-	}
-	s := idx.scratch.Get().(*probeScratch)
-	probes = idx.collectIDProbe(s, m, threshold, ids)
-	return idx.finishProbe(s), probes
-}
-
-// ProbeIDsInto is ProbeIDs appending into a caller-owned buffer: the sorted
-// candidates land at the end of dst and no result slice is allocated, so
-// steady-state callers (one probe per request per predicate) stay
-// allocation-free once dst reaches its high-water mark.
-//
-//falcon:hotpath
-func (idx *PrefixIndex) ProbeIDsInto(m simfn.Measure, threshold float64, ids []uint32, dst []int32) ([]int32, int64) {
-	idx.checkThreshold(threshold)
-	if len(ids) == 0 {
-		return dst, 0
-	}
-	s := idx.scratch.Get().(*probeScratch)
-	probes := idx.collectIDProbe(s, m, threshold, ids)
-	dst = drainSorted(s, dst)
-	idx.scratch.Put(s)
-	return dst, probes
-}
-
-// Prober is a reusable probe session over one PrefixIndex: it pins a probe
-// scratch (dedup bitmap + accumulator) for its lifetime, so a caller
-// probing many rows — a blocking stripe, a serve request's predicates —
-// pays the pool round-trip once instead of per probe. Not safe for
-// concurrent use; Release returns the scratch to the index's pool.
+// Prober is a probe session over one PrefixIndex: it pins a probe scratch
+// (dedup bitmap + accumulator) for its lifetime, so a caller probing many
+// rows — a blocking stripe, a serving scratch's requests — pays the pool
+// round-trip once instead of per probe. Not safe for concurrent use;
+// Release returns the scratch to the index's pool.
 type Prober struct {
 	idx *PrefixIndex
 	s   *probeScratch
@@ -420,34 +350,54 @@ func (p *Prober) Release() {
 	p.s = nil
 }
 
-// ProbeIDsInto probes one encoded row and appends the sorted surviving
-// candidates to dst, reusing the session scratch. Semantics and lookup
-// accounting match PrefixIndex.ProbeIDs exactly.
+// ProbeIDsInto is Probe over a dictionary-encoded token set — the one ID
+// probe body every production caller goes through. ids must be the probe
+// value's token IDs under the index ordering's dictionary, sorted ascending
+// (= reordered), with tokens unknown to the ordering encoded as distinct
+// values ≥ Ordering.Len() (tokenize.Dict.EncodeSorted): they have no
+// postings but still cost one lookup each, exactly like the string path.
+// The prefix length and length-filter bounds are computed once, every
+// posting under the prefix goes through the length/position filters, and the
+// sorted survivors are appended to dst (pass nil for a fresh slice), so a
+// caller reusing dst allocates nothing once it reaches its high-water mark.
+// probes counts lookups: 1 per prefix position + 1 per posting. The index
+// must carry no extension tokens (HasExtension).
 //
 //falcon:hotpath
-func (p *Prober) ProbeIDsInto(m simfn.Measure, threshold float64, ids []uint32, dst []int32) ([]int32, int64) {
-	p.idx.checkThreshold(threshold)
-	if len(ids) == 0 {
+func (p *Prober) ProbeIDsInto(m simfn.Measure, threshold float64, ids []uint32, dst []int32) (cands []int32, probes int64) {
+	idx := p.idx
+	idx.checkThreshold(threshold)
+	ly := len(ids)
+	if ly == 0 {
 		return dst, 0
 	}
-	probes := p.idx.collectIDProbe(p.s, m, threshold, ids)
+	plen := PrefixLen(m, ly, threshold)
+	lo, hi, hasLen := LengthBounds(m, ly, threshold)
+	for pos := 0; pos < plen; pos++ {
+		var plist []Posting
+		if id := ids[pos]; int64(id) < int64(len(idx.post)) {
+			plist = idx.post[id]
+		}
+		probes++
+		for _, pst := range plist {
+			probes++
+			idx.filterPosting(p.s, m, threshold, ly, pos, pst, lo, hi, hasLen)
+		}
+	}
 	return drainSorted(p.s, dst), probes
 }
 
 // ProbeIDsBatch probes every encoded row in one call and hands each row's
 // surviving candidates to visit in row order, reusing one scratch and one
 // candidate buffer across the whole batch (the cands slice is only valid
-// during the visit call). Returns the total lookup count; per-row semantics
-// and accounting match ProbeIDs exactly.
+// during the visit call). Returns the total lookup count.
 func (idx *PrefixIndex) ProbeIDsBatch(m simfn.Measure, threshold float64, rows [][]uint32, visit func(row int, cands []int32)) int64 {
-	idx.checkThreshold(threshold)
 	p := idx.AcquireProber()
 	defer p.Release()
 	var probes int64
 	for r, ids := range rows {
-		p.buf = p.buf[:0]
 		var n int64
-		p.buf, n = p.ProbeIDsInto(m, threshold, ids, p.buf)
+		p.buf, n = p.ProbeIDsInto(m, threshold, ids, p.buf[:0])
 		probes += n
 		visit(r, p.buf)
 	}
@@ -493,8 +443,8 @@ func (idx *PrefixIndex) referenceProbe(m simfn.Measure, threshold float64, value
 	return cands, probes
 }
 
-// ReferenceProbe exposes the retired string-keyed probe for equivalence
-// tests and baseline benchmarks. Production callers use Probe/ProbeIDs.
+// ReferenceProbe exposes the retired string-keyed probe: the oracle the
+// equivalence tests compare Prober candidates and lookup counts against.
 func (idx *PrefixIndex) ReferenceProbe(m simfn.Measure, threshold float64, value string) ([]int32, int64) {
 	return idx.referenceProbe(m, threshold, value)
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // BenchmarkServeMatchOne measures the point-lookup serving path: one
-// A-shaped record tokenized, encoded, probed against the frozen prefix
-// indexes, CNF-verified, and forest-scored per iteration. Reports
-// throughput (qps), tail latency (p99-ns), and allocations per request —
-// the serving SLO numbers BENCH_serve.json records.
+// A-shaped record tokenized, encoded, walked through the frozen filter
+// plan, CNF-verified, and forest-scored per iteration. Reports throughput
+// (qps), tail latency (p99-ns), and allocations per request — for
+// profiling; the gated serving numbers come from the repository benchmark's
+// songs_serve workloads.
 func BenchmarkServeMatchOne(b *testing.B) {
 	force := true
 	d, res := trainSongs(b, 800, 1, func(o *core.Options) { o.ForceBlocking = &force })

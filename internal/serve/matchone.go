@@ -2,15 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"slices"
-	"strconv"
-	"strings"
 
 	"falcon/internal/feature"
 	"falcon/internal/filters"
 	"falcon/internal/simfn"
 	"falcon/internal/table"
-	"falcon/internal/tokenize"
 )
 
 // Match is one served match: a row of the frozen B table and the forest's
@@ -24,33 +20,24 @@ type Match struct {
 // Slices are reused via [:0] re-slicing; capacities grow to the workload's
 // high-water mark and stick.
 type reqScratch struct {
-	num    []float64           // per feature: parsed record numeric
-	numOk  []bool              // per feature: numeric parse success
-	ids    [][]uint32          // per feature: encoded record token-ID set
-	pack   []simfn.PackedIDs   // per feature: ids with signature attached
-	docs   []simfn.WeightedDoc // per feature: record weighted document
-	norm   []string            // per feature: normalized record string
-	toks   [][]string          // per token slot: record token set
-	pids   [][]uint32          // per prefix pred slot: probe-encoded IDs
-	pcands [][]int32           // per prefix pred slot: probe result buffer
-	bvals  []float64           // blocking-vector buffer
-	vals   []float64           // full-vector buffer
-
-	union []int32 // clause-union double buffer
-	utmp  []int32
-	cands []int32 // cross-clause intersection double buffer
-	itmp  []int32
+	opsA  []feature.Operand // per feature: the record as a length-1 operand column
+	ids   [][]uint32        // per feature: encoded record token-ID set (backs opsA[i].Pack[0])
+	toks  [][]string        // per token slot: record token set
+	walk  filters.Walker    // candidate walker: probe operands and set-algebra buffers
+	bvals []float64         // blocking-vector buffer
+	vals  []float64         // full-vector buffer
 	out   []Match
 }
 
 // MatchOne matches one incoming A-shaped record (values in A-schema column
 // order) against the frozen B table: candidate generation through the
-// learned CNF's filter indexes, CNF verification on the blocking vector,
-// then forest scoring on the full vector. Lock-free: all shared state is
-// the frozen bundle; per-request state comes from the scratch pool. The
-// documented per-request allocations are the record tokenizations and the
-// returned match slice; probe results land in pooled per-slot buffers via
-// the batched probe entry points.
+// learned CNF's filter plan (filters.Walker — the walker batch blocking
+// runs over table stripes, here over one record), CNF verification on the
+// blocking vector, then forest scoring on the full vector, every value
+// from feature.EvalOperands. Lock-free: all shared state is the frozen
+// bundle; per-request state comes from the scratch pool. The documented
+// per-request allocations are the record tokenizations and the returned
+// match slice.
 //
 //falcon:hotpath
 func (bn *Bundle) MatchOne(rec []string) ([]Match, error) {
@@ -60,9 +47,11 @@ func (bn *Bundle) MatchOne(rec []string) ([]Match, error) {
 	rs := bn.scratch.Get().(*reqScratch)
 	s := simfn.GetScratch()
 	bn.prepare(rs, rec)
-	cands, all := bn.candidates(rs, rec)
+	cands, all, _ := rs.walk.Candidates()
 	rs.out = rs.out[:0]
 	if all {
+		// No clause could prune (including the empty, matcher-only CNF):
+		// every B row is a candidate.
 		for row := 0; row < bn.b.Len(); row++ {
 			bn.scoreRow(rs, s, row)
 		}
@@ -77,202 +66,50 @@ func (bn *Bundle) MatchOne(rec []string) ([]Match, error) {
 	return out, nil
 }
 
-// prepare computes the record's per-feature operands — the request-side
-// twin of the vectorizer's frozen A columns: token sets per (column,
-// scheme) slot, encoded ID sets under the correspondence dictionaries,
-// parsed numerics, weighted documents, normalized strings, and the
-// ordering-encoded probe sets for the prefix predicates.
+// prepare turns the record into what the two kernels read: per feature a
+// length-1 operand column (the request-side counterpart of the frozen B
+// column, written in place), and per filter predicate its probe operand.
+// Every cell goes through the primitive the batch column builders use —
+// feature.CellTokens, table.ParseNum, table.Normalize, Dict.EncodeSorted,
+// PlanPred.EncodeProbe.
 //
 //falcon:hotpath
 func (bn *Bundle) prepare(rs *reqScratch, rec []string) {
-	for si := range bn.tokSlots {
-		ts := &bn.tokSlots[si]
-		val := rec[ts.acol]
-		if table.IsMissing(val) {
-			rs.toks[si] = rs.toks[si][:0]
-			continue
-		}
+	for si, ts := range bn.tokSlots {
 		//falcon:allow servebudget documented per-request tokenization of the incoming record
-		rs.toks[si] = tokenize.Set(ts.kind, val)
+		rs.toks[si] = feature.CellTokens(ts.kind, rec[ts.acol])
 	}
 	for fi := range bn.feats {
-		fc := &bn.feats[fi]
+		f, op := &bn.feats[fi], &rs.opsA[fi]
 		switch {
-		case fc.measure.NumericBased():
-			rs.numOk[fi] = false
-			v := strings.TrimSpace(rec[fc.acol])
-			if table.IsMissing(v) {
-				continue
-			}
-			if f, err := strconv.ParseFloat(v, 64); err == nil {
-				rs.num[fi], rs.numOk[fi] = f, true
-			}
-		case fc.dict != nil: // count-set: encode under the frozen dictionary
-			toks := rs.toks[fc.tokSlot]
-			ids := rs.ids[fi][:0]
-			ext := uint32(fc.dict.Len())
-			for _, t := range toks {
-				if id, known := fc.dict.ID(t); known {
-					ids = append(ids, id)
-				} else {
-					// Distinct extension IDs ≥ Len: the dictionary covers every
-					// B token, so unknowns overlap nothing, as in training.
-					ids = append(ids, ext)
-					ext++
-				}
-			}
-			slices.Sort(ids)
-			rs.ids[fi] = ids
-			rs.pack[fi].Repack(ids)
-		case fc.corpus != nil:
+		case f.Measure.NumericBased():
+			op.Num[0], op.Ok[0] = table.ParseNum(rec[f.ACol])
+		case f.Measure.CountBased():
+			// Encode under the frozen dictionary: it covers every B token, so
+			// tokens it does not know overlap nothing, as in training.
+			rs.ids[fi] = bn.dicts[fi].EncodeSorted(rs.ids[fi][:0], rs.toks[bn.tokSlot[fi]])
+			op.Pack[0].Repack(rs.ids[fi])
+		case f.Measure.CorpusBased():
 			//falcon:allow servebudget documented per-request weighted-document build over the frozen corpus
-			rs.docs[fi] = fc.corpus.WeightedDocOf(rs.toks[fc.tokSlot])
-		case fc.measure.SetBased():
-			// Monge-Elkan reads the token slot directly.
+			op.Doc[0] = f.Corpus().WeightedDocOf(rs.toks[bn.tokSlot[fi]])
+		case f.Measure.SetBased():
+			op.Tok[0] = rs.toks[bn.tokSlot[fi]]
 		default:
-			val := rec[fc.acol]
-			if table.IsMissing(val) {
-				rs.norm[fi] = ""
-			} else {
-				rs.norm[fi] = strings.ToLower(strings.TrimSpace(val))
-			}
+			op.Norm[0] = table.Normalize(rec[f.ACol])
 		}
 	}
-	for ci := range bn.clauses {
-		for pi := range bn.clauses[ci].preds {
-			pp := &bn.clauses[ci].preds[pi]
-			if pp.slot < 0 {
-				continue
-			}
-			// Raw values are tokenized as-is (no missing check), matching the
-			// batch probe path; missing tokenizes to the empty set anyway.
+	for i := range bn.plan.Preds {
+		pp, pv := &bn.plan.Preds[i], rs.walk.Probe(i)
+		cell := rec[pp.Feat.BCol] // the plan is role-flipped: its B side is the record
+		switch pp.Kind {
+		case filters.Equivalence:
+			pv.Raw = cell
+		case filters.Range:
+			pv.Num, pv.Ok = table.ParseNum(cell)
+		default:
 			//falcon:allow servebudget documented per-request tokenization for the prefix probe
-			toks := tokenize.Set(pp.prefix.Kind, rec[pp.acol])
-			ids := rs.pids[pp.slot][:0]
-			dict := pp.ord.Dict()
-			ext := uint32(pp.ord.Len())
-			for _, t := range toks {
-				if id, known := dict.ID(t); known {
-					ids = append(ids, id)
-				} else {
-					ids = append(ids, ext)
-					ext++
-				}
-			}
-			slices.Sort(ids)
-			rs.pids[pp.slot] = ids
+			pv.IDs = pp.EncodeProbe(pv.IDs[:0], cell)
 		}
-	}
-}
-
-// candidates runs Algorithm 1's C_Q ← ∩_q ∪_p FindProbableCandidates step
-// with the roles flipped: the record probes the B-side indexes. all=true
-// means no clause could prune (including the empty, matcher-only CNF) and
-// every B row is a candidate. Results are sorted ascending.
-//
-//falcon:hotpath
-func (bn *Bundle) candidates(rs *reqScratch, rec []string) (cands []int32, all bool) {
-	first := true
-	var acc []int32
-	m := 0
-	for ci := range bn.clauses {
-		cp := &bn.clauses[ci]
-		if !cp.filterable {
-			continue
-		}
-		got, isAll := bn.clauseCands(rs, cp, rec)
-		if isAll {
-			continue
-		}
-		first = false
-		m++
-		if m == 1 {
-			// Copy: got lives in the clause-union buffers the next clause reuses.
-			rs.cands = append(rs.cands[:0], got...)
-			acc = rs.cands
-			continue
-		}
-		// Alternate intersection buffers so the destination never aliases acc.
-		buf := rs.itmp
-		if m%2 == 1 {
-			buf = rs.cands
-		}
-		buf = intersectInto(buf[:0], acc, got)
-		if m%2 == 1 {
-			rs.cands = buf
-		} else {
-			rs.itmp = buf
-		}
-		acc = buf
-		if len(acc) == 0 {
-			return nil, false
-		}
-	}
-	if first {
-		return nil, true
-	}
-	return acc, false
-}
-
-// clauseCands unions the clause's predicate candidates (disjunction).
-//
-//falcon:hotpath
-func (bn *Bundle) clauseCands(rs *reqScratch, cp *clausePlan, rec []string) (cands []int32, all bool) {
-	var acc []int32
-	n := 0
-	for pi := range cp.preds {
-		got, isAll := bn.predCands(rs, &cp.preds[pi], rec)
-		if isAll {
-			return nil, true
-		}
-		n++
-		if n == 1 {
-			acc = got
-			continue
-		}
-		// Alternate union buffers so the destination never aliases acc.
-		buf := rs.utmp
-		if n%2 == 1 {
-			buf = rs.union
-		}
-		buf = unionInto(buf[:0], acc, got)
-		if n%2 == 1 {
-			rs.union = buf
-		} else {
-			rs.utmp = buf
-		}
-		acc = buf
-	}
-	return acc, false
-}
-
-// predCands returns the B rows that may satisfy one CNF predicate for this
-// record — the serving twin of Indexes.PredCandidates with probe roles
-// flipped. all=true means the filter cannot prune for this probe.
-//
-//falcon:hotpath
-func (bn *Bundle) predCands(rs *reqScratch, pp *predPlan, rec []string) (cands []int32, all bool) {
-	switch pp.kind {
-	case filters.Equivalence:
-		return pp.hash.Probe(rec[pp.acol]), false
-	case filters.Range:
-		if !rs.numOk[pp.feat] {
-			// Feature value is Missing for every B row; prune nothing when the
-			// keep predicate accepts Missing, everything otherwise.
-			return nil, pp.pred.Eval(feature.Missing)
-		}
-		lo, hi := filters.RangeBounds(pp.measure, rs.num[pp.feat], pp.threshold)
-		got := pp.tree.ProbeRange(lo, hi) // fresh slice: safe to extend and sort
-		if pp.pred.Eval(feature.Missing) {
-			// B-side unparseables also evaluate to Missing → keep.
-			got = append(got, pp.tree.Unparseable()...)
-		}
-		slices.Sort(got)
-		return got, false
-	default: // PrefixSet, ShareGram
-		got, _ := pp.prefix.ProbeIDsInto(pp.measure, pp.threshold, rs.pids[pp.slot], rs.pcands[pp.slot][:0])
-		rs.pcands[pp.slot] = got
-		return got, false
 	}
 }
 
@@ -284,86 +121,16 @@ func (bn *Bundle) predCands(rs *reqScratch, pp *predPlan, rec []string) (cands [
 func (bn *Bundle) scoreRow(rs *reqScratch, s *simfn.Scratch, row int) {
 	if len(bn.cnf.Clauses) > 0 {
 		for pos, fi := range bn.blockingIdx {
-			rs.bvals[pos] = bn.evalFeature(fi, rs, s, row)
+			rs.bvals[pos] = bn.feats[fi].EvalOperands(&rs.opsA[fi], 0, &bn.opsB[fi], row, s)
 		}
 		if !bn.cnf.Keep(rs.bvals) {
 			return
 		}
 	}
 	for fi := range bn.feats {
-		rs.vals[fi] = bn.evalFeature(fi, rs, s, row)
+		rs.vals[fi] = bn.feats[fi].EvalOperands(&rs.opsA[fi], 0, &bn.opsB[fi], row, s)
 	}
 	if bn.f.Predict(rs.vals) {
 		rs.out = append(rs.out, Match{BRow: row, Score: bn.f.Confidence(rs.vals)})
 	}
-}
-
-// evalFeature computes one feature between the prepared record and B row —
-// the serving twin of the vectorizer's evalCached, over the same frozen
-// B-side operands, so values are bit-identical to the batch path's.
-//
-//falcon:hotpath
-func (bn *Bundle) evalFeature(fi int, rs *reqScratch, s *simfn.Scratch, row int) float64 {
-	fc := &bn.feats[fi]
-	switch {
-	case fc.measure.NumericBased():
-		if !rs.numOk[fi] || !fc.okB[row] {
-			return feature.Missing
-		}
-		if fc.measure == simfn.MAbsDiff {
-			return simfn.AbsDiff(rs.num[fi], fc.numB[row])
-		}
-		return simfn.RelDiff(rs.num[fi], fc.numB[row])
-	case fc.dict != nil:
-		return feature.EvalCountSetPacked(fc.measure, &rs.pack[fi], &fc.packB[row])
-	case fc.measure == simfn.MMongeElkan:
-		return s.MongeElkan(rs.toks[fc.tokSlot], fc.tokB[row])
-	case fc.measure.CorpusBased():
-		if fc.measure == simfn.MTFIDF {
-			return simfn.TFIDFDocs(&rs.docs[fi], &fc.docB[row])
-		}
-		return simfn.SoftTFIDFDocs(&rs.docs[fi], &fc.docB[row], s)
-	default:
-		return feature.EvalStrings(fc.measure, rs.norm[fi], fc.normB[row], s)
-	}
-}
-
-// unionInto merges two sorted ID lists into dst (sorted, de-duplicated).
-func unionInto(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
-// intersectInto intersects two sorted ID lists into dst.
-func intersectInto(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
 }

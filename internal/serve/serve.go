@@ -1,9 +1,23 @@
 // Package serve is the serving half of the train/serve split: it turns a
-// frozen model.MatcherArtifact into a Bundle — resolved B-side columns,
-// rebuilt filter indexes, and a per-request scratch pool — publishes
-// bundles through a lock-free Registry, and answers point-match queries
-// with MatchOne, which runs block→feature→forest for one incoming
-// A-shaped record against the frozen B table.
+// frozen model.MatcherArtifact into a Bundle — validated cross-references,
+// resolved B-side operand columns, a filter plan bound to indexes over B,
+// and a per-request scratch pool — publishes bundles through a lock-free
+// Registry, and answers point-match queries with MatchOne, which runs
+// block→feature→forest for one incoming A-shaped record against the frozen
+// B table.
+//
+// There is one match kernel and this package is its second caller, not a
+// copy of it. Candidates come from filters.Walker, the walker batch
+// blocking runs over table stripes, here over a single probe; feature
+// values come from feature.Feature.EvalOperands, the evaluator the batch
+// vectorizer calls, over operand columns built by the same feature.Columns
+// builders (the record side is a length-1 column in request scratch). What
+// is left here is what is specific to serving: artifact resolution, the
+// scratch pool, and MatchOne's control flow. The kernel is held to three
+// oracles by the tests — feature.Feature.Eval for values,
+// index.PrefixIndex.ReferenceProbe for probe candidates and lookup counts,
+// the simfn merge/DP measures for the bit-parallel kernels — and this
+// package's tests hold MatchOne to the batch answer through the wire format.
 //
 // The batch pipeline indexes table A and probes it with rows of B; serving
 // flips the roles — the artifact carries prefix postings over B, and the
@@ -17,8 +31,6 @@ package serve
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"falcon/internal/feature"
@@ -39,54 +51,11 @@ type tokSlot struct {
 	kind tokenize.Kind
 }
 
-// featCols is one feature's frozen B-side operands plus its request-side
-// slot assignments. Only the fields for the feature's measure family are
-// set, mirroring feature.Vectorizer's column bundles.
-type featCols struct {
-	measure simfn.Measure
-	acol    int // record column the request-side operand comes from
-	tokSlot int // index into Bundle.tokSlots, -1 when not set-based
-
-	corpus *simfn.Corpus  // corpus-based measures
-	dict   *tokenize.Dict // count-set: the correspondence dictionary
-
-	numB  []float64
-	okB   []bool
-	idsB  [][]uint32
-	packB []simfn.PackedIDs // idsB with bit-parallel signatures attached
-	tokB  [][]string
-	docB  []simfn.WeightedDoc
-	normB []string
-}
-
-// predPlan is one CNF predicate bound to its B-side filter index; the
-// serving twin of filters.BoundPred with the probe roles flipped.
-type predPlan struct {
-	pred      rules.Predicate
-	kind      filters.Kind
-	measure   simfn.Measure
-	threshold float64
-	feat      int // full-space feature index (record-side operand)
-	acol      int // record column holding the probe value
-
-	hash   *index.HashIndex
-	tree   *index.TreeIndex
-	prefix *index.PrefixIndex
-	ord    *index.Ordering
-	slot   int // per-request encoded-probe-IDs slot (prefix kinds)
-}
-
-// clausePlan is one CNF clause's filter plan (union over predicates;
-// unfilterable clauses prune nothing).
-type clausePlan struct {
-	filterable bool
-	preds      []predPlan
-}
-
-// Bundle is a matcher artifact resolved for serving: B-side operand
-// columns per feature, filter indexes over B, the positive CNF, and the
-// forest. Nothing reachable from a bundle is written after NewBundle
-// returns; per-request state cycles through the scratch pool.
+// Bundle is a matcher artifact resolved for serving: the feature space with
+// its frozen B-side operands, the learned CNF's filter plan bound to
+// indexes over B, and the forest. Nothing reachable from a bundle is
+// written after NewBundle returns; per-request state cycles through the
+// scratch pool.
 type Bundle struct {
 	art *model.MatcherArtifact
 	b   *table.Table
@@ -95,21 +64,27 @@ type Bundle struct {
 
 	aCols       map[string]int // A attribute name → record position
 	nA          int
-	blockingIdx []int // blocking position → full-space feature index
-	feats       []featCols
+	blockingIdx []int             // blocking position → full-space feature index
+	feats       []feature.Feature // full space; ACol is the record column
+	opsB        []feature.Operand // per feature: the frozen B column
+	dicts       []*tokenize.Dict  // per feature: correspondence dictionary (count-set measures)
+	tokSlot     []int             // per feature: index into tokSlots, -1 when not set-based
 	tokSlots    []tokSlot
-	clauses     []clausePlan
-	nPredSlots  int
+	plan        filters.Plan
 
 	scratch sync.Pool // *reqScratch
 }
 
 // NewBundle resolves an artifact into a serving bundle: it rebuilds the
-// corpora and feature space, parses/tokenizes/encodes every B column a
-// feature reads, reconstructs the prefix indexes from the artifact's
-// postings, and builds the hash/tree indexes over B that equivalence and
-// range filters probe. The artifact must carry a serving payload (B table
-// and feature specs), i.e. come from a completed training run or a Load.
+// corpora and feature space, resolves every feature's B-side operand column
+// through the column builders the batch vectorizer uses (count-set columns
+// come from the artifact's frozen ID rows — serving never rebuilds a
+// dictionary), and binds the learned CNF's filter plan to indexes over B.
+// The artifact must carry a serving payload (B table and feature specs),
+// i.e. come from a completed training run or a Load. A decoded artifact is
+// outside input: every cross-reference MatchOne would index through is
+// checked here, once, so an inconsistent artifact is an error at publish
+// time instead of a panic at request time.
 //
 //falcon:frozen
 func NewBundle(art *model.MatcherArtifact) (*Bundle, error) {
@@ -134,259 +109,159 @@ func NewBundle(art *model.MatcherArtifact) (*Bundle, error) {
 	for i, at := range art.AAttrs {
 		bn.aCols[at.Name] = i
 	}
-
-	corpora := make([]*simfn.Corpus, len(art.Corpora))
-	for i := range art.Corpora {
-		c := &art.Corpora[i]
-		corpora[i] = simfn.CorpusFromState(c.Docs, c.Toks, c.DFs)
-	}
-
-	if err := bn.resolveFeatures(corpora); err != nil {
+	if err := bn.resolveFeatures(); err != nil {
 		return nil, err
 	}
-	if err := bn.planClauses(corpora); err != nil {
+	if err := bn.bindPlan(); err != nil {
 		return nil, err
 	}
 
 	nf := len(bn.feats)
 	nb := len(bn.blockingIdx)
 	nt := len(bn.tokSlots)
-	np := bn.nPredSlots
 	bn.scratch.New = func() any {
-		return &reqScratch{
-			num:    make([]float64, nf),
-			numOk:  make([]bool, nf),
-			ids:    make([][]uint32, nf),
-			pack:   make([]simfn.PackedIDs, nf),
-			docs:   make([]simfn.WeightedDoc, nf),
-			norm:   make([]string, nf),
-			toks:   make([][]string, nt),
-			pids:   make([][]uint32, np),
-			pcands: make([][]int32, np),
-			bvals:  make([]float64, nb),
-			vals:   make([]float64, nf),
+		rs := &reqScratch{
+			opsA:  make([]feature.Operand, nf),
+			ids:   make([][]uint32, nf),
+			toks:  make([][]string, nt),
+			walk:  bn.plan.NewWalker(), // sessions stay pinned: the scratch lives and dies with the bundle's indexes
+			bvals: make([]float64, nb),
+			vals:  make([]float64, nf),
 		}
+		// Feature i's record operand is the length-1 window [i:i+1] of one
+		// backing array per representation.
+		num, ok := make([]float64, nf), make([]bool, nf)
+		pack, tok := make([]simfn.PackedIDs, nf), make([][]string, nf)
+		doc, norm := make([]simfn.WeightedDoc, nf), make([]string, nf)
+		for i := range rs.opsA {
+			rs.opsA[i] = feature.Operand{
+				Num: num[i : i+1], Ok: ok[i : i+1], Pack: pack[i : i+1],
+				Tok: tok[i : i+1], Doc: doc[i : i+1], Norm: norm[i : i+1],
+			}
+		}
+		return rs
 	}
 	return bn, nil
 }
 
-// resolveFeatures builds every feature's frozen B-side operand column,
-// sharing per-(column, scheme) tokenizations and parses across features.
-func (bn *Bundle) resolveFeatures(corpora []*simfn.Corpus) error {
-	b := bn.b
-	tokCache := map[tokSlot][][]string{}
-	numCache := map[int][]float64{}
-	okCache := map[int][]bool{}
-	normCache := map[int][]string{}
-	packCache := map[string][]simfn.PackedIDs{}
+// resolveFeatures rebuilds the feature space and every feature's frozen
+// B-side operand, sharing per-(column, scheme) columns across features.
+func (bn *Bundle) resolveFeatures() error {
+	art, nb := bn.art, bn.b.Len()
+	corpora := make([]*simfn.Corpus, len(art.Corpora))
+	for i := range art.Corpora {
+		c := &art.Corpora[i]
+		if len(c.Toks) != len(c.DFs) {
+			return fmt.Errorf("serve: corpus %d has %d tokens for %d document frequencies", i, len(c.Toks), len(c.DFs))
+		}
+		corpora[i] = simfn.CorpusFromState(c.Docs, c.Toks, c.DFs)
+	}
+	// Signatures are a serving-side resolution of the frozen ID rows — the
+	// artifact wire format is untouched. Features of one correspondence share
+	// the packed column.
+	packed := make(map[string][]simfn.PackedIDs, len(art.Corrs))
+	for i := range art.Corrs {
+		c := &art.Corrs[i]
+		if len(c.RowsB) != nb {
+			return fmt.Errorf("serve: correspondence %d encodes %d rows, B has %d", i, len(c.RowsB), nb)
+		}
+		packed[model.CorrKey(c.ACol, c.BCol, c.Kind)] = simfn.PackRows(c.RowsB)
+	}
+
+	cols := feature.NewColumns(bn.b)
 	slotOf := map[tokSlot]int{}
-
-	tokCol := func(col int, kind tokenize.Kind) [][]string {
-		k := tokSlot{col, kind}
-		if rows, ok := tokCache[k]; ok {
-			return rows
+	nf := len(art.Feats)
+	bn.feats = make([]feature.Feature, nf)
+	bn.opsB = make([]feature.Operand, nf)
+	bn.dicts = make([]*tokenize.Dict, nf)
+	bn.tokSlot = make([]int, nf)
+	for i := range art.Feats {
+		sp := &art.Feats[i]
+		if sp.ACol < 0 || sp.ACol >= bn.nA || sp.BCol < 0 || sp.BCol >= bn.b.Schema.Len() {
+			return fmt.Errorf("serve: feature %q reads columns (%d, %d) outside the %d×%d schemas", sp.Name, sp.ACol, sp.BCol, bn.nA, bn.b.Schema.Len())
 		}
-		rows := make([][]string, b.Len())
-		for row := range rows {
-			val := b.Value(row, col)
-			if table.IsMissing(val) {
-				rows[row] = []string{}
-			} else {
-				rows[row] = tokenize.Set(kind, val)
+		var corpus *simfn.Corpus
+		if sp.Measure.CorpusBased() {
+			if sp.Corpus < 0 || sp.Corpus >= len(corpora) {
+				return fmt.Errorf("serve: feature %q references missing corpus %d", sp.Name, sp.Corpus)
 			}
+			corpus = corpora[sp.Corpus]
 		}
-		tokCache[k] = rows
-		return rows
-	}
-	reqSlot := func(acol int, kind tokenize.Kind) int {
-		k := tokSlot{acol, kind}
-		if s, ok := slotOf[k]; ok {
-			return s
+		bn.feats[i] = feature.NewBoundFeature(i, sp.Name, sp.Measure, sp.Token, sp.ACol, sp.BCol, sp.Attr, sp.Blockable, corpus)
+		bn.tokSlot[i] = -1
+		if sp.Measure.SetBased() {
+			k := tokSlot{sp.ACol, sp.Token}
+			slot, ok := slotOf[k]
+			if !ok {
+				slot = len(bn.tokSlots)
+				slotOf[k] = slot
+				bn.tokSlots = append(bn.tokSlots, k)
+			}
+			bn.tokSlot[i] = slot
 		}
-		s := len(bn.tokSlots)
-		slotOf[k] = s
-		bn.tokSlots = append(bn.tokSlots, k)
-		return s
-	}
-
-	bn.feats = make([]featCols, len(bn.art.Feats))
-	for i := range bn.art.Feats {
-		sp := &bn.art.Feats[i]
-		fc := &bn.feats[i]
-		fc.measure = sp.Measure
-		fc.acol = sp.ACol
-		fc.tokSlot = -1
-		switch {
-		case sp.Measure.NumericBased():
-			if nums, ok := numCache[sp.BCol]; ok {
-				fc.numB, fc.okB = nums, okCache[sp.BCol]
-				break
+		var pk []simfn.PackedIDs
+		if sp.Measure.CountBased() {
+			key := model.CorrKey(sp.ACol, sp.BCol, sp.Token)
+			var ok bool
+			if pk, ok = packed[key]; !ok || art.Dicts[key] == nil {
+				return fmt.Errorf("serve: artifact missing correspondence %s", key)
 			}
-			nums := make([]float64, b.Len())
-			oks := make([]bool, b.Len())
-			for row := 0; row < b.Len(); row++ {
-				s := strings.TrimSpace(b.Value(row, sp.BCol))
-				if table.IsMissing(s) {
-					continue
-				}
-				if f, err := strconv.ParseFloat(s, 64); err == nil {
-					nums[row], oks[row] = f, true
-				}
-			}
-			numCache[sp.BCol], okCache[sp.BCol] = nums, oks
-			fc.numB, fc.okB = nums, oks
-		case sp.Measure.SetBased():
-			fc.tokSlot = reqSlot(sp.ACol, sp.Token)
-			switch {
-			case feature.CountSet(sp.Measure):
-				key := model.CorrKey(sp.ACol, sp.BCol, sp.Token)
-				dict := bn.art.Dicts[key]
-				corr := bn.corrData(sp.ACol, sp.BCol, sp.Token)
-				if dict == nil || corr == nil {
-					return fmt.Errorf("serve: artifact missing correspondence %s", key)
-				}
-				fc.dict = dict
-				fc.idsB = corr.RowsB
-				// Signatures are a serving-side resolution of the frozen ID
-				// rows — the artifact wire format is untouched. Features of
-				// one correspondence share the packed column.
-				if packed, ok := packCache[key]; ok {
-					fc.packB = packed
-				} else {
-					packed = make([]simfn.PackedIDs, len(corr.RowsB))
-					for row, ids := range corr.RowsB {
-						packed[row] = simfn.PackIDs(ids)
-					}
-					packCache[key] = packed
-					fc.packB = packed
-				}
-			case sp.Measure.CorpusBased():
-				if sp.Corpus < 0 || sp.Corpus >= len(corpora) {
-					return fmt.Errorf("serve: feature %q references missing corpus %d", sp.Name, sp.Corpus)
-				}
-				fc.corpus = corpora[sp.Corpus]
-				toks := tokCol(sp.BCol, sp.Token)
-				fc.docB = make([]simfn.WeightedDoc, len(toks))
-				for row, ts := range toks {
-					fc.docB[row] = fc.corpus.WeightedDocOf(ts)
-				}
-			default: // MongeElkan: raw token sets
-				fc.tokB = tokCol(sp.BCol, sp.Token)
-			}
-		default:
-			if norm, ok := normCache[sp.BCol]; ok {
-				fc.normB = norm
-				break
-			}
-			norm := make([]string, b.Len())
-			for row := range norm {
-				val := b.Value(row, sp.BCol)
-				if table.IsMissing(val) {
-					continue
-				}
-				norm[row] = strings.ToLower(strings.TrimSpace(val))
-			}
-			normCache[sp.BCol] = norm
-			fc.normB = norm
+			bn.dicts[i] = art.Dicts[key]
 		}
+		bn.opsB[i] = cols.Operand(&bn.feats[i], sp.BCol, pk)
 	}
 	return nil
 }
 
-// planClauses re-derives the filter plan of the learned CNF over the
-// role-flipped feature space (probe record against indexed B) and binds
-// every filterable predicate to its B-side index: prefix indexes come from
-// the artifact's postings, hash and tree indexes are rebuilt from the B
-// table (cheap and deterministic).
-func (bn *Bundle) planClauses(corpora []*simfn.Corpus) error {
-	if len(bn.cnf.Clauses) == 0 {
-		return nil
-	}
+// bindPlan derives the filter plan of the learned CNF over the role-flipped
+// feature space (probe record against indexed B) and binds it the way batch
+// does, through a filters.Indexes — here over B, filled in-process: prefix
+// indexes come from the artifact's postings, hash and tree indexes are
+// rebuilt from the B table (cheap and deterministic). An empty CNF (the
+// matcher-only plan) binds an empty plan, whose walker prunes nothing.
+func (bn *Bundle) bindPlan() error {
 	flipped := make([]*feature.Feature, len(bn.blockingIdx))
 	for pos, fi := range bn.blockingIdx {
-		if fi < 0 || fi >= len(bn.art.Feats) {
+		if fi < 0 || fi >= len(bn.feats) {
 			return fmt.Errorf("serve: blocking index %d out of range", fi)
 		}
-		sp := &bn.art.Feats[fi]
-		var c *simfn.Corpus
-		if sp.Corpus >= 0 && sp.Corpus < len(corpora) {
-			c = corpora[sp.Corpus]
-		}
 		// A and B columns swap roles: the spec's "A" side is the indexed B.
-		f := feature.NewBoundFeature(pos, sp.Name, sp.Measure, sp.Token, sp.BCol, sp.ACol, sp.Attr, sp.Blockable, c)
+		f := bn.feats[fi]
+		f.ACol, f.BCol = f.BCol, f.ACol
 		flipped[pos] = &f
+	}
+	for _, clause := range bn.cnf.Clauses {
+		for _, p := range clause {
+			if p.Feature < 0 || p.Feature >= len(flipped) {
+				return fmt.Errorf("serve: rule predicate on blocking feature %d, artifact has %d", p.Feature, len(flipped))
+			}
+		}
 	}
 	an := filters.Analyze(bn.cnf, flipped)
 
-	prefixByKey := map[string]*index.PrefixIndex{}
-	thrByKey := map[string]float64{}
+	ix := filters.NewIndexes(nil, bn.b)
 	for i := range bn.art.Prefix {
 		pd := &bn.art.Prefix[i]
-		ord := index.OrderingOf(pd.Ranked)
-		prefixByKey[pd.Spec().Key()] = index.PrefixFromParts(pd.Token, pd.Threshold, ord, pd.Post, pd.SetLen)
-		thrByKey[pd.Spec().Key()] = pd.Threshold
+		if len(pd.SetLen) != bn.b.Len() {
+			return fmt.Errorf("serve: prefix index %s covers %d rows, B has %d", pd.Spec().Key(), len(pd.SetLen), bn.b.Len())
+		}
+		idx, err := index.PrefixFromParts(pd.Token, pd.Threshold, index.OrderingOf(pd.Ranked), pd.Post, pd.SetLen)
+		if err != nil {
+			return fmt.Errorf("serve: prefix index %s: %w", pd.Spec().Key(), err)
+		}
+		ix.InstallPrefix(pd.Spec(), idx)
 	}
-	hashBy := map[int]*index.HashIndex{}
-	treeBy := map[int]*index.TreeIndex{}
-
-	bn.clauses = make([]clausePlan, len(an.Clauses))
-	for ci := range an.Clauses {
-		info := &an.Clauses[ci]
-		cp := &bn.clauses[ci]
-		cp.filterable = info.Filterable
-		for _, bp := range info.Preds {
-			pp := predPlan{
-				pred:      bp.Pred,
-				kind:      bp.Kind,
-				measure:   bp.Feat.Measure,
-				threshold: bp.Threshold,
-				feat:      bn.blockingIdx[bp.Pred.Feature],
-				acol:      bp.Feat.BCol, // flipped: the record-side column
-				slot:      -1,
-			}
-			bcol := bp.Feat.ACol // flipped: the indexed B column
-			switch bp.Kind {
-			case filters.Equivalence:
-				if hashBy[bcol] == nil {
-					hashBy[bcol] = index.BuildHash(bn.b, bcol)
-				}
-				pp.hash = hashBy[bcol]
-			case filters.Range:
-				if treeBy[bcol] == nil {
-					treeBy[bcol] = index.BuildTree(bn.b, bcol)
-				}
-				pp.tree = treeBy[bcol]
-			case filters.PrefixSet, filters.ShareGram:
-				spec := filters.IndexSpec{Kind: bp.Kind, ACol: bcol, Token: bp.Feat.Token, Measure: bp.Feat.Measure}
-				if bp.Kind == filters.ShareGram {
-					spec.Token, spec.Measure = tokenize.Gram3, simfn.MLevenshtein
-				}
-				idx := prefixByKey[spec.Key()]
-				if idx == nil {
-					return fmt.Errorf("serve: artifact missing prefix index %s", spec.Key())
-				}
-				if bp.Threshold < thrByKey[spec.Key()] {
-					return fmt.Errorf("serve: prefix index %s built at threshold %g, predicate needs %g",
-						spec.Key(), thrByKey[spec.Key()], bp.Threshold)
-				}
-				pp.prefix = idx
-				pp.ord = idx.Ord()
-				pp.slot = bn.nPredSlots
-				bn.nPredSlots++
-			}
-			cp.preds = append(cp.preds, pp)
+	for _, spec := range an.NeededIndexes() {
+		switch spec.Kind {
+		case filters.Equivalence:
+			ix.InstallHash(spec.ACol, index.BuildHash(bn.b, spec.ACol))
+		case filters.Range:
+			ix.InstallTree(spec.ACol, index.BuildTree(bn.b, spec.ACol))
 		}
 	}
-	return nil
-}
-
-// corrData finds the artifact's correspondence entry, or nil.
-func (bn *Bundle) corrData(acol, bcol int, kind tokenize.Kind) *model.CorrData {
-	for i := range bn.art.Corrs {
-		c := &bn.art.Corrs[i]
-		if c.ACol == acol && c.BCol == bcol && c.Kind == kind {
-			return c
-		}
+	var err error
+	if bn.plan, err = ix.Bind(an, nil); err != nil {
+		return fmt.Errorf("serve: artifact does not cover its own rules: %w", err)
 	}
 	return nil
 }

@@ -209,6 +209,57 @@ func TestMatchOneBadRequests(t *testing.T) {
 	}
 }
 
+// TestInconsistentArtifactIsUnprocessable: an artifact that decodes (valid
+// magic, version and checksum) but whose parts disagree with each other must
+// be refused with 422 at publish time — not published and left to panic with
+// an index out of range on the first matching request — and the artifact
+// already being served must keep answering.
+func TestInconsistentArtifactIsUnprocessable(t *testing.T) {
+	ts := newTestServer()
+	defer ts.Close()
+	jobID := postArtifactBuild(t, ts, 60)["id"].(string)
+	resp, err := http.Get(ts.URL + "/jobs/" + jobID + "/artifact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	artBytes, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+
+	for name, corrupt := range map[string]func(a *model.MatcherArtifact){
+		"encoded rows short of B":  func(a *model.MatcherArtifact) { a.Corrs[0].RowsB = a.Corrs[0].RowsB[:1] },
+		"feature column outside B": func(a *model.MatcherArtifact) { a.Feats[0].BCol = 99 },
+	} {
+		art, err := model.LoadArtifact(bytes.NewReader(artBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(art)
+		var buf bytes.Buffer
+		if err := art.Save(&buf); err != nil { // Save re-checksums: the body is well-formed
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/artifacts/current", &buf)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: PUT status %d (%s), want 422", name, resp.StatusCode, body)
+		}
+	}
+
+	a, _ := songsWithKey(60, 42)
+	record := map[string]string{}
+	for i, name := range a.Schema.Names()[:len(a.Schema.Names())-1] { // all but the oracle key column
+		record[name] = a.Tuples[0].Values[i]
+	}
+	if out, code := matchOne(t, ts, record); code != http.StatusOK {
+		t.Fatalf("match after refused swaps: status %d (%v)", code, out)
+	}
+}
+
 // TestConcurrentMatchAndSwap hammers POST /match/one while another client
 // keeps PUTting the artifact — the serving path's lock-free swap claim at
 // the HTTP layer. The race gate runs this package under -race.

@@ -19,9 +19,9 @@ func benchIDSets(n int) [][]uint32 {
 }
 
 // BenchmarkJaccardKernels compares the sorted-merge ID kernel against the
-// bit-parallel signature kernel on identical set pairs. pairs/s is the
-// figure BENCH_blocking.json records; the packed case includes no packing
-// cost because both blocking and serving pack rows once, not per pair.
+// bit-parallel signature kernel on identical set pairs. The packed case
+// includes no packing cost because both blocking and serving pack rows
+// once, not per pair.
 func BenchmarkJaccardKernels(b *testing.B) {
 	sets := benchIDSets(512)
 	packed := make([]PackedIDs, len(sets))

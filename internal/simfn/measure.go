@@ -53,6 +53,17 @@ func (m Measure) SetBased() bool {
 	return false
 }
 
+// CountBased reports whether the measure depends only on the two token-set
+// sizes and their overlap count, and can therefore run on dictionary-encoded
+// ID sets (any bijective encoding yields the string path's value).
+func (m Measure) CountBased() bool {
+	switch m {
+	case MJaccard, MDice, MOverlap, MCosine:
+		return true
+	}
+	return false
+}
+
 // NumericBased reports whether the measure consumes parsed numbers.
 func (m Measure) NumericBased() bool {
 	return m == MAbsDiff || m == MRelDiff

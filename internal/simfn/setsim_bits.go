@@ -36,6 +36,16 @@ func PackIDs(ids []uint32) PackedIDs {
 	return p
 }
 
+// PackRows packs a whole column of sorted ID sets, once, at column-build
+// time, so the per-pair kernels never pay packing cost.
+func PackRows(rows [][]uint32) []PackedIDs {
+	out := make([]PackedIDs, len(rows))
+	for i, ids := range rows {
+		out[i].Repack(ids)
+	}
+	return out
+}
+
 // Repack rebuilds p in place over ids, reusing the signature's block/word
 // capacity so steady-state repacking (e.g. one serve request's record set)
 // does not allocate once buffers reach their high-water mark.

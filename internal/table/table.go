@@ -150,6 +150,29 @@ func IsMissing(v string) bool {
 	return v == "" || strings.EqualFold(v, "null") || strings.EqualFold(v, "nan") || v == "?"
 }
 
+// ParseNum parses a raw cell as a number: surrounding space is ignored,
+// and missing or unparseable cells report ok=false. Every numeric operand —
+// feature columns, tree indexes, range probes — comes through here, so a
+// cell means the same number (or the same Missing) on every path.
+func ParseNum(v string) (f float64, ok bool) {
+	v = strings.TrimSpace(v)
+	if IsMissing(v) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil
+}
+
+// Normalize is the string-cell normalization the sequence measures and the
+// equivalence filter share: missing becomes "", everything else is
+// lowercased and trimmed.
+func Normalize(v string) string {
+	if IsMissing(v) {
+		return ""
+	}
+	return strings.ToLower(strings.TrimSpace(v))
+}
+
 // numericThreshold is the fraction of non-missing values that must parse as
 // numbers for an attribute to be inferred Numeric.
 const numericThreshold = 0.9
@@ -173,7 +196,7 @@ func (t *Table) InferTypes() {
 				continue
 			}
 			nonMissing++
-			if _, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
+			if _, ok := ParseNum(v); ok {
 				numeric++
 			}
 			totalWords += len(strings.Fields(v))

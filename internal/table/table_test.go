@@ -56,6 +56,29 @@ func TestIsMissing(t *testing.T) {
 	}
 }
 
+func TestParseNumAndNormalize(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want float64
+		ok   bool
+	}{
+		{"12.5", 12.5, true}, {"  -3 ", -3, true}, {"\t1e3\n", 1000, true},
+		{"", 0, false}, {" NULL ", 0, false}, {"nan", 0, false}, {"?", 0, false},
+		{"n/a", 0, false}, {"12 apples", 0, false},
+	} {
+		if got, ok := ParseNum(c.in); got != c.want || ok != c.ok {
+			t.Errorf("ParseNum(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
+		}
+	}
+	for in, want := range map[string]string{
+		"  War AND Peace ": "war and peace", "": "", " null": "", "NaN ": "", "?": "", "x": "x",
+	} {
+		if got := Normalize(in); got != want {
+			t.Errorf("Normalize(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 func buildTable(rows [][]string, names ...string) *Table {
 	tb := New("t", NewSchema(names...))
 	for _, r := range rows {

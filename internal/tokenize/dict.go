@@ -1,5 +1,7 @@
 package tokenize
 
+import "slices"
+
 // Dict is a token interner: it maps each distinct token string to a dense
 // uint32 ID and back. When built from a frequency-ranked token list (see
 // index.BuildOrdering), ID order equals global rank order, so a token-ID set
@@ -50,6 +52,26 @@ func (d *Dict) Intern(t string) uint32 {
 func (d *Dict) ID(t string) (uint32, bool) {
 	id, ok := d.ids[t]
 	return id, ok
+}
+
+// EncodeSorted appends the token set's IDs to dst and sorts the appended
+// run ascending — under a rank-ordered dictionary, the §7.5 reordered set.
+// Tokens the dictionary does not know get distinct extension IDs ≥ Len():
+// they keep the set's length, sort after every known token, and match
+// nothing, which is how both a prefix probe and a count-set measure must
+// treat a token no indexed or frozen row contains. d is not modified.
+func (d *Dict) EncodeSorted(dst []uint32, tokens []string) []uint32 {
+	start, ext := len(dst), uint32(len(d.toks))
+	for _, t := range tokens {
+		id, known := d.ids[t]
+		if !known {
+			id = ext
+			ext++
+		}
+		dst = append(dst, id)
+	}
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Token returns the token string for an ID.

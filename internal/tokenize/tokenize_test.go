@@ -2,6 +2,7 @@ package tokenize
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,24 @@ func TestSet(t *testing.T) {
 	got := Set(Word, "a a b")
 	if !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("Set = %v", got)
+	}
+}
+
+// TestDictEncodeSorted: known tokens get their IDs, unknown ones distinct
+// extension IDs ≥ Len (so the set keeps its size and they match nothing),
+// the appended run is sorted, dst's prefix is left alone, and the dictionary
+// is not grown.
+func TestDictEncodeSorted(t *testing.T) {
+	d := DictOf([]string{"rare", "mid", "common"})
+	got := d.EncodeSorted([]uint32{99}, []string{"common", "zzz", "rare", "aaa"})
+	if want := []uint32{99, 0, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("EncodeSorted = %v, want %v", got, want)
+	}
+	if d.Len() != 3 {
+		t.Fatalf("dictionary grew to %d tokens", d.Len())
+	}
+	if got := d.EncodeSorted(nil, nil); len(got) != 0 {
+		t.Fatalf("empty set encoded as %v", got)
 	}
 }
 
