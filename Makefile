@@ -38,12 +38,16 @@ vet-fix:
 test:
 	$(GO) test ./...
 
-# The race gate also runs the vet engine's parallel scheduler and cache
-# under the detector: the serial/parallel/cached byte-identity tests
-# exercise every cross-task edge (fact shards, lock-edge streams,
-# diagnostics sinks).
+# The race gate covers what concurrent tasks share: reduce tasks share one
+# feature.Projection (its pooled value rows, the vectorizer's lazily built
+# columns), apply scores through it, and every filters.Walker owns a
+# range-probe bitmap — hence feature, model and filters beside the
+# engine and the serving packages. It also runs the vet engine's parallel
+# scheduler and cache under the detector: the serial/parallel/cached
+# byte-identity tests exercise every cross-task edge (fact shards,
+# lock-edge streams, diagnostics sinks).
 race:
-	$(GO) test -race ./internal/service/... ./internal/mapreduce/... ./internal/core/... ./internal/serve/...
+	$(GO) test -race ./internal/service/... ./internal/mapreduce/... ./internal/core/... ./internal/serve/... ./internal/feature/... ./internal/model/... ./internal/filters/...
 	$(GO) test -race -run 'TestParallelByteIdentical|TestVetEquality|TestSiblingLockCycle|TestCacheInvalidationMatrix|TestDiffMode' ./internal/analysis/
 
 # bench-smoke vets and smoke-tests the repository benchmark (bash

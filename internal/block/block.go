@@ -22,6 +22,7 @@ import (
 	"falcon/internal/feature"
 	"falcon/internal/filters"
 	"falcon/internal/mapreduce"
+	"falcon/internal/rules"
 	"falcon/internal/table"
 )
 
@@ -129,10 +130,24 @@ func TableBytes(t *table.Table) int64 {
 	return b
 }
 
+// verifier is the final rule check every strategy ends in: the CNF applied
+// to the blocking vector of an enumerated pair, computed on the CNF's read
+// set only — the blocking features no predicate compares are never
+// evaluated, and their columns never built.
+type verifier struct {
+	cnf  rules.CNF
+	proj *feature.Projection
+}
+
+func (in *Input) verifier() verifier {
+	cnf := in.Analysis.CNF
+	return verifier{cnf, in.Vectorizer.ProjectBlocking(cnf.Features())}
+}
+
 // keepPair evaluates the full CNF rule on a pair.
-func (in *Input) keepPair(p table.Pair) bool {
-	vec := in.Vectorizer.BlockingVector(p)
-	return in.Analysis.CNF.Keep(vec.Values)
+func (v verifier) keepPair(p table.Pair) (keep bool) {
+	v.proj.Batch(p.A, []int32{int32(p.B)}, func(_ int, values []float64) { keep = v.cnf.Keep(values) })
+	return keep
 }
 
 func (in *Input) evalCost() int64 {
@@ -232,6 +247,7 @@ func (in *Input) runClausePass(ctx context.Context, cluster *mapreduce.Cluster, 
 	}
 	bw := in.bWeight()
 	evalCost := in.evalCost()
+	vf := in.verifier()
 	// Map records are whole B-row stripes (one record per split), so the
 	// batched probe path amortizes its index sessions and buffers across the
 	// stripe. The engine charges one implicit cost unit per map record; a
@@ -268,10 +284,10 @@ func (in *Input) runClausePass(ctx context.Context, cluster *mapreduce.Cluster, 
 			})
 		},
 		Reduce: func(aid int32, bRows []int32, ctx *mapreduce.ReduceCtx[table.Pair]) {
-			in.Vectorizer.BlockingVectorsBatch(int(aid), bRows, func(i int, values []float64) {
+			vf.proj.Batch(int(aid), bRows, func(i int, values []float64) {
 				ctx.AddCost(evalCost)
 				ctx.Inc(counterEnumerated, 1)
-				if in.Analysis.CNF.Keep(values) {
+				if vf.cnf.Keep(values) {
 					ctx.Output(table.Pair{A: int(aid), B: int(bRows[i])})
 				}
 			})
@@ -295,6 +311,7 @@ func (in *Input) runIntersect(ctx context.Context, cluster *mapreduce.Cluster, s
 	need := len(filterable)
 	bw := in.bWeight()
 	evalCost := in.evalCost()
+	vf := in.verifier()
 
 	// clausePos maps a clause index to a dense bit position in [0, need), so
 	// the reducer can count distinct covering clauses with a word-sized
@@ -415,7 +432,7 @@ func (in *Input) runIntersect(ctx context.Context, cluster *mapreduce.Cluster, s
 			p := unpairKey(key)
 			ctx.AddCost(evalCost)
 			ctx.Inc(counterEnumerated, 1)
-			if in.keepPair(p) {
+			if vf.keepPair(p) {
 				ctx.Output(p)
 			}
 		},
@@ -433,6 +450,7 @@ func (in *Input) runMapSide(ctx context.Context, cluster *mapreduce.Cluster, sin
 		return nil, ErrTooLarge
 	}
 	evalCost := in.evalCost()
+	vf := in.verifier()
 	job := mapreduce.MapOnlyJob[int, table.Pair]{
 		Name:   "apply-blocking-rules/map-side",
 		Sink:   sink,
@@ -442,7 +460,7 @@ func (in *Input) runMapSide(ctx context.Context, cluster *mapreduce.Cluster, sin
 				p := table.Pair{A: a, B: bRow}
 				ctx.AddCost(evalCost)
 				ctx.Inc(counterEnumerated, 1)
-				if in.keepPair(p) {
+				if vf.keepPair(p) {
 					ctx.Output(p)
 				}
 			}
@@ -463,6 +481,7 @@ func (in *Input) runReduceSplit(ctx context.Context, cluster *mapreduce.Cluster,
 	}
 	bw := in.bWeight()
 	evalCost := in.evalCost()
+	vf := in.verifier()
 	job := mapreduce.Job[int, int64, struct{}, table.Pair]{
 		Name:   "apply-blocking-rules/reduce-split",
 		Sink:   sink,
@@ -477,7 +496,7 @@ func (in *Input) runReduceSplit(ctx context.Context, cluster *mapreduce.Cluster,
 			p := unpairKey(key)
 			ctx.AddCost(evalCost)
 			ctx.Inc(counterEnumerated, 1)
-			if in.keepPair(p) {
+			if vf.keepPair(p) {
 				ctx.Output(p)
 			}
 		},

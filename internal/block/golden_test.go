@@ -20,9 +20,12 @@ import (
 // bit for bit, and every physical operator, at any worker count, must
 // produce exactly the pairs a brute-force scan of A×B keeps when the CNF is
 // evaluated on those oracle values — with modeled SimTime and the engine
-// counters independent of the worker count. (Probe candidates and lookup
-// counts are held to index.ReferenceProbe in the filters and index tests;
-// plan-template coverage lives in core's worker-invariance tests.)
+// counters independent of the worker count. Every strategy verifies on the
+// CNF's read set only (the other slots of its value rows hold NaN), so the
+// brute-force comparison is also the proof that the projection reads nothing
+// else. (Probe candidates and lookup counts are held to
+// index.ReferenceProbe in the filters and index tests; plan-template
+// coverage lives in core's worker-invariance tests.)
 
 // goldenInput builds a fresh Input over shared tables so column caches
 // cannot leak between runs. The rule sequence's CNF has a predicate of every
@@ -146,6 +149,28 @@ func TestGoldenVectorsStringVsIDPath(t *testing.T) {
 					t.Fatalf("%v: blocking feature %d = %v, full vector has %v", p, k, blocking.Values[k], full.Values[fi])
 				}
 			}
+		}
+	}
+}
+
+// TestEmptyCNFReadsNothing: with no rules the read set is empty, no feature
+// is evaluated, and every strategy keeps all of A×B.
+func TestEmptyCNFReadsNothing(t *testing.T) {
+	a, bt := mkTables(12, 9, 13)
+	set := feature.Generate(a, bt)
+	for _, s := range []Strategy{ApplyAll, ApplyGreedy, ApplyConjunct, ApplyPredicate, MapSide, ReduceSplit} {
+		in := &Input{
+			A: a, B: bt,
+			Analysis:   filters.Analyze(rules.CNF{}, nil),
+			Indexes:    filters.NewIndexes(mapreduce.Default(), a),
+			Vectorizer: feature.NewVectorizer(set, a, bt),
+		}
+		res, err := Run(context.Background(), mapreduce.Default(), in, s)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if len(res.Pairs) != a.Len()*bt.Len() || res.PairsEnumerated != int64(len(res.Pairs)) {
+			t.Fatalf("%v: kept %d of %d enumerated pairs, want all %d", s, len(res.Pairs), res.PairsEnumerated, a.Len()*bt.Len())
 		}
 	}
 }

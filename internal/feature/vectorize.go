@@ -2,6 +2,7 @@ package feature
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -161,9 +162,15 @@ func (c *Columns) Operand(f *Feature, col int, packed []simfn.PackedIDs) Operand
 // tokenize.Dict) under which both columns are encoded as sorted []uint32
 // token-ID sets with bit-parallel signatures attached.
 //
+// Every evaluation goes through a Projection — the features one consumer
+// reads, with their operand columns resolved once. Training offers the
+// learner every feature (Vector, BlockingVector, VectorizeAll and
+// BlockingVectorsBatch run the two all-slots projections); consumers of a
+// trained model project onto what the model reads (Project,
+// ProjectBlocking), and columns nothing reads are never built.
+//
 // It is safe for concurrent use, so map tasks on the worker pool can share
-// one vectorizer. Per-feature resolved operand pairs are published through
-// atomic pointers, making the per-pair hot path lock-free.
+// one vectorizer and its projections.
 type Vectorizer struct {
 	Set *Set
 
@@ -172,10 +179,10 @@ type Vectorizer struct {
 	mu  sync.RWMutex
 	ids map[corrKey]*idCols // correspondence → encoded token sets
 
-	// feats[f.ID] caches the resolved per-feature operand pair so the
-	// per-pair path does one atomic load instead of map lookups under
-	// RLock.
-	feats []atomic.Pointer[featCols]
+	// The all-slots projections of the full and the blocking space, built
+	// on first use (Warm forces both). Racing first users each build one —
+	// over the same cached columns — and the first published wins.
+	allSlots [2]atomic.Pointer[Projection]
 }
 
 // corrKey identifies one attribute correspondence's shared token
@@ -197,17 +204,12 @@ type idCols struct {
 	pa, pb []simfn.PackedIDs
 }
 
-// featCols is the resolved, immutable operand pair one feature reads per
-// pair.
-type featCols struct{ a, b Operand }
-
 // NewVectorizer builds a vectorizer for the feature set over tables a and b.
 func NewVectorizer(set *Set, a, b *table.Table) *Vectorizer {
 	return &Vectorizer{
 		Set: set,
 		a:   NewColumns(a), b: NewColumns(b),
-		ids:   map[corrKey]*idCols{},
-		feats: make([]atomic.Pointer[featCols], len(set.Features)),
+		ids: map[corrKey]*idCols{},
 	}
 }
 
@@ -283,125 +285,172 @@ func (v *Vectorizer) CorrIDs(acol, bcol int, kind tokenize.Kind) (*tokenize.Dict
 	return c.dict, c.a, c.b
 }
 
-// featData returns the feature's resolved operand pair, building and
-// publishing it on first access. Features not belonging to v.Set (defensive
-// case) are resolved without caching.
-func (v *Vectorizer) featData(f *Feature) *featCols {
-	cached := f.ID >= 0 && f.ID < len(v.feats) && &v.Set.Features[f.ID] == f
-	if cached {
-		if fc := v.feats[f.ID].Load(); fc != nil {
-			return fc
+// Projection is a vectorizer restricted to the vector slots one consumer
+// reads: a learned CNF's predicate positions in the blocking space, a
+// forest's split features in the full space, or — for training's gen_fvs,
+// which must offer the learner everything — every slot. Value rows keep
+// the space's full width, so a rule or a tree indexes them unchanged; the
+// slots outside the read set are never computed and hold NaN, on which
+// every comparison is false, so a reader that strays outside its declared
+// read set gets a wrong answer the differential tests catch, never a stale
+// value. Operand columns are resolved (and, on first touch, built) when the
+// projection is made, which makes the per-pair path lock-free and
+// allocation-free. Safe for concurrent use.
+type Projection struct {
+	width int        // length of a value row
+	slots []int      // read slots, ascending
+	feats []*Feature // feats[k] fills slots[k]
+	a, b  []Operand  // feats[k]'s resolved operand pair
+	rows  sync.Pool  // *[]float64 value rows, unread slots NaN
+}
+
+// Project returns the projection of the full feature space onto the
+// features read (indexes into Set.Features): value rows are indexed by
+// feature ID.
+func (v *Vectorizer) Project(read []int) *Projection { return v.project(false, read) }
+
+// ProjectBlocking returns the projection of the blocking space onto the
+// positions read (indexes into Set.BlockingIdx): value rows are indexed by
+// blocking position, the space blocking rules are written in.
+func (v *Vectorizer) ProjectBlocking(read []int) *Projection { return v.project(true, read) }
+
+// width returns the length of a value row of the full or the blocking space.
+func (v *Vectorizer) width(blocking bool) int {
+	if blocking {
+		return len(v.Set.BlockingIdx)
+	}
+	return len(v.Set.Features)
+}
+
+// project resolves the read slots of the full or the blocking space. read
+// is retained.
+func (v *Vectorizer) project(blocking bool, read []int) *Projection {
+	p := &Projection{
+		width: v.width(blocking),
+		slots: read,
+		feats: make([]*Feature, len(read)),
+		a:     make([]Operand, len(read)),
+		b:     make([]Operand, len(read)),
+	}
+	for k, slot := range read {
+		fi := slot
+		if blocking {
+			fi = v.Set.BlockingIdx[slot]
 		}
+		f := &v.Set.Features[fi]
+		var pa, pb []simfn.PackedIDs
+		if f.Measure.CountBased() {
+			c := v.idColsFor(f.ACol, f.BCol, f.Token)
+			pa, pb = c.pa, c.pb
+		}
+		p.feats[k], p.a[k], p.b[k] = f, v.a.Operand(f, f.ACol, pa), v.b.Operand(f, f.BCol, pb)
 	}
-	var pa, pb []simfn.PackedIDs
-	if f.Measure.CountBased() {
-		c := v.idColsFor(f.ACol, f.BCol, f.Token)
-		pa, pb = c.pa, c.pb
+	p.rows.New = func() any {
+		row := UnreadRow(p.width)
+		return &row
 	}
-	fc := &featCols{a: v.a.Operand(f, f.ACol, pa), b: v.b.Operand(f, f.BCol, pb)}
-	if cached {
-		v.feats[f.ID].Store(fc)
+	return p
+}
+
+// UnreadRow returns a value row of n slots nobody has computed yet: all NaN.
+// The evaluators (Projection here, serve's request scratch) overwrite the
+// slots of their read set and leave the rest.
+func UnreadRow(n int) []float64 {
+	row := make([]float64, n)
+	for i := range row {
+		row[i] = math.NaN()
 	}
-	return fc
+	return row
+}
+
+// fill evaluates the read features of pair (a, b) into their slots of vals.
+//
+//falcon:hotpath
+func (p *Projection) fill(vals []float64, a, b int, s *simfn.Scratch) {
+	for k, slot := range p.slots {
+		vals[slot] = p.feats[k].EvalOperands(&p.a[k], a, &p.b[k], b, s)
+	}
+}
+
+// Batch evaluates the read features of pair (a, bRow) for every bRow in
+// bRows, calling visit(i, values) in input order. values is one reused
+// full-width row (unread slots NaN), valid only during the visit call. The
+// scratch and the row are acquired once per batch, so scoring allocates
+// nothing per pair.
+func (p *Projection) Batch(a int, bRows []int32, visit func(i int, values []float64)) {
+	s := simfn.GetScratch()
+	defer simfn.PutScratch(s)
+	row := p.rows.Get().(*[]float64)
+	defer p.rows.Put(row)
+	for i, bRow := range bRows {
+		p.fill(*row, a, int(bRow), s)
+		visit(i, *row)
+	}
+}
+
+// vector computes a fresh, fully-read value row for pair pr.
+func (p *Projection) vector(pr table.Pair, s *simfn.Scratch) Vector {
+	out := Vector{Pair: pr, Values: make([]float64, p.width)}
+	p.fill(out.Values, pr.A, pr.B, s)
+	return out
+}
+
+// all returns the all-slots projection of the full (blocking == false) or
+// the blocking space.
+func (v *Vectorizer) all(blocking bool) *Projection {
+	cell := &v.allSlots[0]
+	if blocking {
+		cell = &v.allSlots[1]
+	}
+	if p := cell.Load(); p != nil {
+		return p
+	}
+	every := make([]int, v.width(blocking))
+	for i := range every {
+		every[i] = i
+	}
+	cell.CompareAndSwap(nil, v.project(blocking, every))
+	return cell.Load()
 }
 
 // Vector computes the full feature vector for pair p.
 func (v *Vectorizer) Vector(p table.Pair) Vector {
 	s := simfn.GetScratch()
-	out := v.vector(p, nil, s)
-	simfn.PutScratch(s)
-	return out
+	defer simfn.PutScratch(s)
+	return v.all(false).vector(p, s)
 }
 
 // BlockingVector computes only the blocking-stage features for pair p. The
 // returned Values are indexed by position in Set.BlockingIdx.
 func (v *Vectorizer) BlockingVector(p table.Pair) Vector {
 	s := simfn.GetScratch()
-	out := v.vector(p, v.Set.BlockingIdx, s)
-	simfn.PutScratch(s)
-	return out
-}
-
-// vector evaluates the features idx selects (nil: all of them) on pair p.
-// After Warm it performs exactly one allocation: the Values slice.
-//
-//falcon:hotpath
-func (v *Vectorizer) vector(p table.Pair, idx []int, s *simfn.Scratch) Vector {
-	feats := v.Set.Features
-	n := len(feats)
-	if idx != nil {
-		n = len(idx)
-	}
-	//falcon:allow servebudget the documented single Values allocation per vector
-	out := Vector{Pair: p, Values: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		f := &feats[i]
-		if idx != nil {
-			f = &feats[idx[i]]
-		}
-		//falcon:allow servebudget cold-path column build under the write lock; Warm() pre-builds every operand pair so the hot path always takes the atomic Load
-		fc := v.featData(f)
-		out.Values[i] = f.EvalOperands(&fc.a, p.A, &fc.b, p.B, s)
-	}
-	return out
-}
-
-// Warm pre-builds every column cache the feature set can touch — including
-// the per-feature resolved operand pairs — so that subsequent concurrent
-// evaluation never takes the write lock and the per-pair path is
-// allocation-free (modulo the returned Values).
-func (v *Vectorizer) Warm() {
-	for i := range v.Set.Features {
-		v.featData(&v.Set.Features[i])
-	}
-}
-
-// batchBuf pools the reusable state of one BlockingVectorsBatch call — the
-// value row handed to visit and the hoisted per-feature operand loads — so
-// steady-state batch scoring allocates nothing.
-type batchBuf struct {
-	vals []float64
-	cols []*featCols
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
-
-// BlockingVectorsBatch evaluates the blocking features of pair (a, bRow) for
-// every bRow in bRows, calling visit(i, values) in input order. values is
-// indexed by position in Set.BlockingIdx, reused across rows, and valid only
-// during the visit call. Each row computes exactly what BlockingVector
-// computes — same features, same order, same arithmetic — with the scratch
-// acquisition, operand loads, and Values allocation hoisted out of the
-// per-pair loop.
-func (v *Vectorizer) BlockingVectorsBatch(a int, bRows []int32, visit func(i int, values []float64)) {
-	idx := v.Set.BlockingIdx
-	s := simfn.GetScratch()
 	defer simfn.PutScratch(s)
-	bb := batchPool.Get().(*batchBuf)
-	defer batchPool.Put(bb)
-	if cap(bb.vals) < len(idx) {
-		bb.vals = make([]float64, len(idx))
-	}
-	vals := bb.vals[:len(idx)]
-	bb.cols = bb.cols[:0]
-	for _, fi := range idx {
-		bb.cols = append(bb.cols, v.featData(&v.Set.Features[fi]))
-	}
-	for i, bRow := range bRows {
-		for j, fi := range idx {
-			vals[j] = v.Set.Features[fi].EvalOperands(&bb.cols[j].a, a, &bb.cols[j].b, int(bRow), s)
-		}
-		visit(i, vals)
-	}
+	return v.all(true).vector(p, s)
+}
+
+// Warm pre-builds every column the feature set can touch, so that
+// subsequent concurrent evaluation never takes a write lock.
+func (v *Vectorizer) Warm() {
+	v.all(false)
+	v.all(true)
+}
+
+// BlockingVectorsBatch evaluates every blocking feature of pair (a, bRow)
+// for each bRow in bRows — Projection.Batch over the all-slots blocking
+// projection, which is what gen_fvs needs; a consumer of learned rules
+// projects onto the rules' read set instead (ProjectBlocking).
+func (v *Vectorizer) BlockingVectorsBatch(a int, bRows []int32, visit func(i int, values []float64)) {
+	v.all(true).Batch(a, bRows, visit)
 }
 
 // VectorizeAll converts a pair list into vectors (full feature space).
 func (v *Vectorizer) VectorizeAll(pairs []table.Pair) []Vector {
 	s := simfn.GetScratch()
+	defer simfn.PutScratch(s)
+	full := v.all(false)
 	out := make([]Vector, len(pairs))
 	for i, p := range pairs {
-		out[i] = v.vector(p, nil, s)
+		out[i] = full.vector(p, s)
 	}
-	simfn.PutScratch(s)
 	return out
 }

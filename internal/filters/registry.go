@@ -3,7 +3,6 @@ package filters
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -347,7 +346,8 @@ type Walker struct {
 type predState struct {
 	probe  Probe
 	prober *index.Prober // pinned session; nil unless a prefix kind
-	buf    []int32       // prefix probe result
+	bits   []uint64      // range-probe bitmap over the indexed tuples, zero between probes; nil unless a Range kind
+	buf    []int32       // prefix or range probe result
 	union  [2][]int32    // union double buffer of the clause this predicate opens
 }
 
@@ -359,6 +359,9 @@ func (p Plan) NewWalker() Walker {
 		if idx := p.Preds[i].prefix; idx != nil {
 			//falcon:allow scratchescape the walker owns the session; Release returns every prober
 			w.state[i].prober = idx.AcquireProber()
+		}
+		if tree := p.Preds[i].tree; tree != nil {
+			w.state[i].bits = make([]uint64, (tree.Len()+63)/64)
 		}
 	}
 	return w
@@ -455,13 +458,9 @@ func (w *Walker) pred(i int) (cands []int32, all bool, cost int64) {
 			return nil, pp.keepMissing, 1
 		}
 		lo, hi := RangeBounds(pp.Feat.Measure, st.probe.Num, pp.Threshold)
-		got := pp.tree.ProbeRange(lo, hi) // a fresh slice, in value order
-		if pp.keepMissing {
-			// Indexed unparseables also evaluate to Missing → keep.
-			got = append(got, pp.tree.Unparseable()...)
-		}
-		slices.Sort(got)
-		return got, false, int64(1 + len(got))
+		// Indexed unparseables also evaluate to Missing → keep.
+		st.buf = pp.tree.ProbeRangeInto(st.buf[:0], st.bits, lo, hi, pp.keepMissing)
+		return st.buf, false, int64(1 + len(st.buf))
 	default: // PrefixSet, ShareGram
 		var probes int64
 		st.buf, probes = st.prober.ProbeIDsInto(pp.Feat.Measure, pp.Threshold, st.probe.IDs, st.buf[:0])

@@ -265,6 +265,51 @@ func (f *Forest) Confidence(v []float64) float64 {
 	return float64(f.Votes(v)) / float64(len(f.Trees))
 }
 
+// SplitFeatures returns the distinct features the trees split on, ascending:
+// the only vector slots Votes (and so Predict, Confidence and Entropy)
+// reads, so the only features a consumer of the forest has to compute. A
+// single-leaf forest reads none. A forest can arrive decoded from outside
+// input, so the walk also checks what those readers assume — every tree has
+// a root, every split indexes inside [0, NumFeatures) and has both
+// children — and reports the first violation instead of leaving it to panic
+// at prediction time.
+func (f *Forest) SplitFeatures() ([]int, error) {
+	seen := make([]bool, max(f.NumFeatures, 0))
+	var walk func(n *Node) error
+	walk = func(n *Node) error {
+		switch {
+		case n == nil:
+			return fmt.Errorf("missing node")
+		case n.IsLeaf():
+			return nil
+		case n.Feature < 0 || n.Feature >= len(seen):
+			return fmt.Errorf("split on feature %d outside the %d-feature space", n.Feature, len(seen))
+		case n.Left == nil || n.Right == nil:
+			return fmt.Errorf("split on feature %d is missing a child", n.Feature)
+		}
+		seen[n.Feature] = true
+		if err := walk(n.Left); err != nil {
+			return err
+		}
+		return walk(n.Right)
+	}
+	for i, t := range f.Trees {
+		if t == nil {
+			return nil, fmt.Errorf("forest: tree %d: missing", i)
+		}
+		if err := walk(t.Root); err != nil {
+			return nil, fmt.Errorf("forest: tree %d: %w", i, err)
+		}
+	}
+	var out []int
+	for fi, ok := range seen {
+		if ok {
+			out = append(out, fi)
+		}
+	}
+	return out, nil
+}
+
 // Entropy returns the binary vote entropy, maximal at confidence 0.5.
 func (f *Forest) Entropy(v []float64) float64 {
 	p := f.Confidence(v)

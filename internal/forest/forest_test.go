@@ -3,6 +3,8 @@ package forest
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -235,5 +237,59 @@ func BenchmarkPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Predict(v)
+	}
+}
+
+// TestSplitFeatures: the read set is exactly the features some split
+// compares — poisoning every other slot with NaN changes no vote — and a
+// forest that Predict would panic on is reported instead.
+func TestSplitFeatures(t *testing.T) {
+	data := linearData(300, 3, 0.1)
+	for i := range data { // pad to 6 features so most go unread
+		data[i].Values = append(data[i].Values, 0, 1, 0, 1)
+	}
+	f := Train(data, Config{NumTrees: 5, Seed: 4})
+	read, err := f.SplitFeatures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(read) == 0 || len(read) > 2 || !slices.IsSorted(read) {
+		t.Fatalf("read set %v, want a sorted subset of the two varying features", read)
+	}
+	for _, e := range data {
+		poisoned := make([]float64, len(e.Values))
+		for i := range poisoned {
+			poisoned[i] = math.NaN()
+		}
+		for _, fi := range read {
+			poisoned[fi] = e.Values[fi]
+		}
+		if f.Votes(poisoned) != f.Votes(e.Values) {
+			t.Fatalf("votes differ once the slots outside %v are NaN", read)
+		}
+	}
+
+	leaf := func(match bool) *Node { return &Node{Feature: -1, Match: match} }
+	single := &Forest{NumFeatures: 6, Trees: []*Tree{{Root: leaf(true)}}}
+	if read, err := single.SplitFeatures(); err != nil || len(read) != 0 {
+		t.Fatalf("single-leaf forest: read set %v, err %v; want empty, nil", read, err)
+	}
+	for _, c := range []struct {
+		name string
+		f    *Forest
+		want string
+	}{
+		{"split past the feature space", &Forest{NumFeatures: 6, Trees: []*Tree{{Root: &Node{Feature: 6, Left: leaf(false), Right: leaf(true)}}}}, "outside"},
+		{"negative non-leaf feature", &Forest{NumFeatures: 6, Trees: []*Tree{{Root: &Node{Feature: -2}}}}, "outside"},
+		{"split without children", &Forest{NumFeatures: 6, Trees: []*Tree{{Root: leaf(true)}, {Root: &Node{Feature: 1, Left: leaf(false)}}}}, "tree 1: split on feature 1 is missing a child"},
+		{"tree without a root", &Forest{NumFeatures: 6, Trees: []*Tree{{}}}, "missing node"},
+		{"nil tree", &Forest{NumFeatures: 6, Trees: []*Tree{nil}}, "missing"},
+		{"bad node below a good split", &Forest{NumFeatures: 6, Trees: []*Tree{{Root: &Node{Feature: 0, Left: leaf(false), Right: &Node{Feature: 9, Left: leaf(false), Right: leaf(true)}}}}}, "feature 9 outside"},
+	} {
+		if _, err := c.f.SplitFeatures(); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want mention of %q", c.name, err, c.want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package index
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -91,7 +92,43 @@ func BuildTree(t *table.Table, col int) *TreeIndex {
 // Unparseable returns the IDs of tuples whose value did not parse.
 func (ti *TreeIndex) Unparseable() []int32 { return ti.unparseable }
 
-// ProbeRange returns IDs with value in [lo, hi].
+// Len returns the number of indexed tuples, parseable or not.
+func (ti *TreeIndex) Len() int { return len(ti.ids) + len(ti.unparseable) }
+
+// ProbeRangeInto appends to dst, in ascending ID order, the IDs with value
+// in [lo, hi] — and, when withUnparseable is set, the tuples whose value did
+// not parse. The tree holds IDs in value order, so hits are marked in a
+// bitmap and scanned back out, which sorts them without comparing: marks is
+// caller-owned scratch of at least (Len()+63)/64 words, all zero on entry
+// and zero again on return. Nothing is allocated once dst has grown.
+func (ti *TreeIndex) ProbeRangeInto(dst []int32, marks []uint64, lo, hi float64, withUnparseable bool) []int32 {
+	// first/last bound the words touched, so a selective probe of a large
+	// index scans a few words, not the whole bitmap.
+	first, last := len(marks), -1
+	mark := func(id int32) {
+		w := int(id >> 6)
+		marks[w] |= 1 << (id & 63)
+		first, last = min(first, w), max(last, w)
+	}
+	for i := sort.SearchFloat64s(ti.vals, lo); i < len(ti.vals) && ti.vals[i] <= hi; i++ {
+		mark(ti.ids[i])
+	}
+	if withUnparseable {
+		for _, id := range ti.unparseable {
+			mark(id)
+		}
+	}
+	for w := first; w <= last; w++ {
+		for word := marks[w]; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+		marks[w] = 0
+	}
+	return dst
+}
+
+// ProbeRange returns IDs with value in [lo, hi], in value order, as a fresh
+// slice: the plain reference ProbeRangeInto is tested against.
 func (ti *TreeIndex) ProbeRange(lo, hi float64) []int32 {
 	start := sort.SearchFloat64s(ti.vals, lo)
 	var out []int32

@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -482,5 +483,52 @@ func BenchmarkBuildPrefix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildPrefix(a, 0, tokenize.Word, ord, simfn.MJaccard, 0.6)
+	}
+}
+
+// TestProbeRangeInto holds the bitmap probe to the value-ordered reference:
+// the same IDs as ProbeRange (plus the unparseables when asked), in row
+// order, appended after what dst already holds, the bitmap left zero, and
+// nothing allocated once dst has grown.
+func TestProbeRangeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tb := table.New("A", table.NewSchema("price"))
+	for i := 0; i < 500; i++ {
+		switch rng.Intn(10) {
+		case 0:
+			tb.Append("n/a")
+		case 1:
+			tb.Append("")
+		default:
+			tb.Append(fmt.Sprintf("%.1f", rng.Float64()*100))
+		}
+	}
+	tb.InferTypes()
+	ti := BuildTree(tb, 0)
+	if ti.Len() != tb.Len() {
+		t.Fatalf("Len = %d, table has %d rows", ti.Len(), tb.Len())
+	}
+	marks := make([]uint64, (ti.Len()+63)/64)
+	dst := []int32{-7}
+	for _, r := range [][2]float64{{10, 20}, {-5, 0.05}, {99.9, 1e9}, {-1e9, 1e9}, {50, 49}, {33.3, 33.3}} {
+		for _, withUnparseable := range []bool{false, true} {
+			want := ti.ProbeRange(r[0], r[1])
+			if withUnparseable {
+				want = append(want, ti.Unparseable()...)
+			}
+			slices.Sort(want)
+			dst = ti.ProbeRangeInto(dst[:1], marks, r[0], r[1], withUnparseable)
+			if dst[0] != -7 || !slices.Equal(dst[1:], want) {
+				t.Fatalf("ProbeRangeInto(%v, unparseable=%v) = %v, want -7 then %v", r, withUnparseable, dst, want)
+			}
+			if slices.ContainsFunc(marks, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("ProbeRangeInto(%v) left marks set", r)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst = ti.ProbeRangeInto(dst[:0], marks, 10, 60, true)
+	}); allocs > 0 {
+		t.Fatalf("ProbeRangeInto allocates %.1f objects per probe, want 0", allocs)
 	}
 }

@@ -14,6 +14,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -280,6 +281,20 @@ func (c CNF) Keep(vec []float64) bool {
 		}
 	}
 	return true
+}
+
+// Features returns the distinct vector positions the CNF's predicates
+// compare, ascending: the only slots Keep reads, so the only features a
+// consumer of the rule has to compute.
+func (c CNF) Features() []int {
+	var out []int
+	for _, cl := range c.Clauses {
+		for _, p := range cl {
+			out = append(out, p.Feature)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // String renders the CNF rule.

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -276,5 +277,18 @@ func TestStrings(t *testing.T) {
 	cnf := ToCNF([]Rule{r})
 	if !strings.Contains(cnf.String(), "keep") {
 		t.Fatalf("CNF.String = %q", cnf.String())
+	}
+}
+
+func TestCNFFeatures(t *testing.T) {
+	cnf := ToCNF([]Rule{
+		{Preds: []Predicate{{Feature: 7, Op: LE, Value: 0.4}, {Feature: 2, Op: GT, Value: 1}}},
+		{Preds: []Predicate{{Feature: 7, Op: GT, Value: 0.9}}},
+	})
+	if got := cnf.Features(); !slices.Equal(got, []int{2, 7}) {
+		t.Fatalf("Features = %v, want [2 7]", got)
+	}
+	if got := (CNF{}).Features(); len(got) != 0 {
+		t.Fatalf("empty CNF reads %v", got)
 	}
 }

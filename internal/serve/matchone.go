@@ -24,8 +24,8 @@ type reqScratch struct {
 	ids   [][]uint32        // per feature: encoded record token-ID set (backs opsA[i].Pack[0])
 	toks  [][]string        // per token slot: record token set
 	walk  filters.Walker    // candidate walker: probe operands and set-algebra buffers
-	bvals []float64         // blocking-vector buffer
-	vals  []float64         // full-vector buffer
+	bvals []float64         // blocking-vector buffer: the CNF's read positions, NaN elsewhere
+	vals  []float64         // full-vector buffer: the forest's read features, NaN elsewhere
 	out   []Match
 }
 
@@ -33,11 +33,11 @@ type reqScratch struct {
 // order) against the frozen B table: candidate generation through the
 // learned CNF's filter plan (filters.Walker — the walker batch blocking
 // runs over table stripes, here over one record), CNF verification on the
-// blocking vector, then forest scoring on the full vector, every value
-// from feature.EvalOperands. Lock-free: all shared state is the frozen
-// bundle; per-request state comes from the scratch pool. The documented
-// per-request allocations are the record tokenizations and the returned
-// match slice.
+// blocking features its predicates compare, then forest scoring on the
+// features its trees split on, every value from feature.EvalOperands.
+// Lock-free: all shared state is the frozen bundle; per-request state comes
+// from the scratch pool. The documented per-request allocations are the
+// record tokenizations and the returned match slice.
 //
 //falcon:hotpath
 func (bn *Bundle) MatchOne(rec []string) ([]Match, error) {
@@ -66,12 +66,12 @@ func (bn *Bundle) MatchOne(rec []string) ([]Match, error) {
 	return out, nil
 }
 
-// prepare turns the record into what the two kernels read: per feature a
-// length-1 operand column (the request-side counterpart of the frozen B
-// column, written in place), and per filter predicate its probe operand.
-// Every cell goes through the primitive the batch column builders use —
-// feature.CellTokens, table.ParseNum, table.Normalize, Dict.EncodeSorted,
-// PlanPred.EncodeProbe.
+// prepare turns the record into what the two kernels read: per feature the
+// model reads a length-1 operand column (the request-side counterpart of the
+// frozen B column, written in place), and per filter predicate its probe
+// operand. Every cell goes through the primitive the batch column builders
+// use — feature.CellTokens, table.ParseNum, table.Normalize,
+// Dict.EncodeSorted, PlanPred.EncodeProbe.
 //
 //falcon:hotpath
 func (bn *Bundle) prepare(rs *reqScratch, rec []string) {
@@ -79,7 +79,7 @@ func (bn *Bundle) prepare(rs *reqScratch, rec []string) {
 		//falcon:allow servebudget documented per-request tokenization of the incoming record
 		rs.toks[si] = feature.CellTokens(ts.kind, rec[ts.acol])
 	}
-	for fi := range bn.feats {
+	for _, fi := range bn.read {
 		f, op := &bn.feats[fi], &rs.opsA[fi]
 		switch {
 		case f.Measure.NumericBased():
@@ -114,23 +114,22 @@ func (bn *Bundle) prepare(rs *reqScratch, rec []string) {
 }
 
 // scoreRow verifies one candidate B row against the CNF on the blocking
-// vector, then scores the full vector with the forest, appending a Match
-// when the forest votes yes.
+// positions it reads, then has the forest vote on the features it splits on,
+// appending a Match on a majority.
 //
 //falcon:hotpath
 func (bn *Bundle) scoreRow(rs *reqScratch, s *simfn.Scratch, row int) {
-	if len(bn.cnf.Clauses) > 0 {
-		for pos, fi := range bn.blockingIdx {
-			rs.bvals[pos] = bn.feats[fi].EvalOperands(&rs.opsA[fi], 0, &bn.opsB[fi], row, s)
-		}
-		if !bn.cnf.Keep(rs.bvals) {
-			return
-		}
+	for _, pos := range bn.cnfRead {
+		fi := bn.blockingIdx[pos]
+		rs.bvals[pos] = bn.feats[fi].EvalOperands(&rs.opsA[fi], 0, &bn.opsB[fi], row, s)
 	}
-	for fi := range bn.feats {
+	if !bn.cnf.Keep(rs.bvals) {
+		return
+	}
+	for _, fi := range bn.forestRead {
 		rs.vals[fi] = bn.feats[fi].EvalOperands(&rs.opsA[fi], 0, &bn.opsB[fi], row, s)
 	}
-	if bn.f.Predict(rs.vals) {
-		rs.out = append(rs.out, Match{BRow: row, Score: bn.f.Confidence(rs.vals)})
+	if votes, trees := bn.f.Votes(rs.vals), len(bn.f.Trees); 2*votes > trees {
+		rs.out = append(rs.out, Match{BRow: row, Score: float64(votes) / float64(trees)})
 	}
 }

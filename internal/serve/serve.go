@@ -31,6 +31,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"falcon/internal/feature"
@@ -51,11 +52,17 @@ type tokSlot struct {
 	kind tokenize.Kind
 }
 
-// Bundle is a matcher artifact resolved for serving: the feature space with
-// its frozen B-side operands, the learned CNF's filter plan bound to
-// indexes over B, and the forest. Nothing reachable from a bundle is
-// written after NewBundle returns; per-request state cycles through the
-// scratch pool.
+// Bundle is a matcher artifact resolved for serving: the feature space, the
+// frozen B-side operands of the features the model reads, the learned CNF's
+// filter plan bound to indexes over B, and the forest. Nothing reachable
+// from a bundle is written after NewBundle returns; per-request state
+// cycles through the scratch pool.
+//
+// The model reads two sets of features — the positions the CNF's predicates
+// compare (cnfRead) and the features the forest's trees split on
+// (forestRead) — and a request computes nothing else: operand columns,
+// token slots and dictionaries are resolved for their union (read) only,
+// and every other per-feature entry below stays zero.
 type Bundle struct {
 	art *model.MatcherArtifact
 	b   *table.Table
@@ -66,9 +73,12 @@ type Bundle struct {
 	nA          int
 	blockingIdx []int             // blocking position → full-space feature index
 	feats       []feature.Feature // full space; ACol is the record column
-	opsB        []feature.Operand // per feature: the frozen B column
-	dicts       []*tokenize.Dict  // per feature: correspondence dictionary (count-set measures)
-	tokSlot     []int             // per feature: index into tokSlots, -1 when not set-based
+	cnfRead     []int             // blocking positions the CNF reads
+	forestRead  []int             // features the forest reads
+	read        []int             // features either reads, ascending
+	opsB        []feature.Operand // per read feature: the frozen B column
+	dicts       []*tokenize.Dict  // per read feature: correspondence dictionary (count-set measures)
+	tokSlot     []int             // per read feature: index into tokSlots, -1 when not set-based
 	tokSlots    []tokSlot
 	plan        filters.Plan
 
@@ -109,6 +119,9 @@ func NewBundle(art *model.MatcherArtifact) (*Bundle, error) {
 	for i, at := range art.AAttrs {
 		bn.aCols[at.Name] = i
 	}
+	if err := bn.readSets(); err != nil {
+		return nil, err
+	}
 	if err := bn.resolveFeatures(); err != nil {
 		return nil, err
 	}
@@ -124,9 +137,9 @@ func NewBundle(art *model.MatcherArtifact) (*Bundle, error) {
 			opsA:  make([]feature.Operand, nf),
 			ids:   make([][]uint32, nf),
 			toks:  make([][]string, nt),
-			walk:  bn.plan.NewWalker(), // sessions stay pinned: the scratch lives and dies with the bundle's indexes
-			bvals: make([]float64, nb),
-			vals:  make([]float64, nf),
+			walk:  bn.plan.NewWalker(),   // sessions stay pinned: the scratch lives and dies with the bundle's indexes
+			bvals: feature.UnreadRow(nb), // slots outside the read sets are never written and stay NaN
+			vals:  feature.UnreadRow(nf),
 		}
 		// Feature i's record operand is the length-1 window [i:i+1] of one
 		// backing array per representation.
@@ -144,33 +157,56 @@ func NewBundle(art *model.MatcherArtifact) (*Bundle, error) {
 	return bn, nil
 }
 
-// resolveFeatures rebuilds the feature space and every feature's frozen
-// B-side operand, sharing per-(column, scheme) columns across features.
+// readSets derives what the model reads (model.Model.ReadSets, which also
+// refuses a rule or a split indexing outside the feature space — it would
+// otherwise panic inside MatchOne) and the union a request has to prepare.
+func (bn *Bundle) readSets() error {
+	var err error
+	if bn.cnfRead, bn.forestRead, err = bn.art.TrainedModel().ReadSets(); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	bn.read = slices.Clone(bn.forestRead)
+	for _, pos := range bn.cnfRead {
+		bn.read = append(bn.read, bn.blockingIdx[pos])
+	}
+	slices.Sort(bn.read)
+	bn.read = slices.Compact(bn.read)
+	return nil
+}
+
+// resolveFeatures rebuilds the feature space — every spec is checked — and,
+// for the features the model reads, the frozen B-side operand, sharing
+// per-(column, scheme) columns across features. Corpora, packed
+// correspondence columns and token slots no read feature needs are not
+// built.
 func (bn *Bundle) resolveFeatures() error {
 	art, nb := bn.art, bn.b.Len()
-	corpora := make([]*simfn.Corpus, len(art.Corpora))
 	for i := range art.Corpora {
-		c := &art.Corpora[i]
-		if len(c.Toks) != len(c.DFs) {
+		if c := &art.Corpora[i]; len(c.Toks) != len(c.DFs) {
 			return fmt.Errorf("serve: corpus %d has %d tokens for %d document frequencies", i, len(c.Toks), len(c.DFs))
 		}
-		corpora[i] = simfn.CorpusFromState(c.Docs, c.Toks, c.DFs)
 	}
-	// Signatures are a serving-side resolution of the frozen ID rows — the
-	// artifact wire format is untouched. Features of one correspondence share
-	// the packed column.
-	packed := make(map[string][]simfn.PackedIDs, len(art.Corrs))
+	corrs := make(map[string]*model.CorrData, len(art.Corrs))
 	for i := range art.Corrs {
 		c := &art.Corrs[i]
 		if len(c.RowsB) != nb {
 			return fmt.Errorf("serve: correspondence %d encodes %d rows, B has %d", i, len(c.RowsB), nb)
 		}
-		packed[model.CorrKey(c.ACol, c.BCol, c.Kind)] = simfn.PackRows(c.RowsB)
+		corrs[model.CorrKey(c.ACol, c.BCol, c.Kind)] = c
 	}
 
+	// Signatures are a serving-side resolution of the frozen ID rows — the
+	// artifact wire format is untouched. Features of one correspondence share
+	// the packed column, features of one corpus the rebuilt corpus.
 	cols := feature.NewColumns(bn.b)
+	corpora := make([]*simfn.Corpus, len(art.Corpora))
+	packed := map[string][]simfn.PackedIDs{}
 	slotOf := map[tokSlot]int{}
 	nf := len(art.Feats)
+	isRead := make([]bool, nf)
+	for _, fi := range bn.read {
+		isRead[fi] = true
+	}
 	bn.feats = make([]feature.Feature, nf)
 	bn.opsB = make([]feature.Operand, nf)
 	bn.dicts = make([]*tokenize.Dict, nf)
@@ -180,15 +216,26 @@ func (bn *Bundle) resolveFeatures() error {
 		if sp.ACol < 0 || sp.ACol >= bn.nA || sp.BCol < 0 || sp.BCol >= bn.b.Schema.Len() {
 			return fmt.Errorf("serve: feature %q reads columns (%d, %d) outside the %d×%d schemas", sp.Name, sp.ACol, sp.BCol, bn.nA, bn.b.Schema.Len())
 		}
+		if sp.Measure.CorpusBased() && (sp.Corpus < 0 || sp.Corpus >= len(art.Corpora)) {
+			return fmt.Errorf("serve: feature %q references missing corpus %d", sp.Name, sp.Corpus)
+		}
+		key := model.CorrKey(sp.ACol, sp.BCol, sp.Token)
+		if sp.Measure.CountBased() && (corrs[key] == nil || art.Dicts[key] == nil) {
+			return fmt.Errorf("serve: artifact missing correspondence %s", key)
+		}
 		var corpus *simfn.Corpus
-		if sp.Measure.CorpusBased() {
-			if sp.Corpus < 0 || sp.Corpus >= len(corpora) {
-				return fmt.Errorf("serve: feature %q references missing corpus %d", sp.Name, sp.Corpus)
+		if isRead[i] && sp.Measure.CorpusBased() {
+			if corpora[sp.Corpus] == nil {
+				c := &art.Corpora[sp.Corpus]
+				corpora[sp.Corpus] = simfn.CorpusFromState(c.Docs, c.Toks, c.DFs)
 			}
 			corpus = corpora[sp.Corpus]
 		}
 		bn.feats[i] = feature.NewBoundFeature(i, sp.Name, sp.Measure, sp.Token, sp.ACol, sp.BCol, sp.Attr, sp.Blockable, corpus)
 		bn.tokSlot[i] = -1
+		if !isRead[i] {
+			continue
+		}
 		if sp.Measure.SetBased() {
 			k := tokSlot{sp.ACol, sp.Token}
 			slot, ok := slotOf[k]
@@ -201,10 +248,9 @@ func (bn *Bundle) resolveFeatures() error {
 		}
 		var pk []simfn.PackedIDs
 		if sp.Measure.CountBased() {
-			key := model.CorrKey(sp.ACol, sp.BCol, sp.Token)
-			var ok bool
-			if pk, ok = packed[key]; !ok || art.Dicts[key] == nil {
-				return fmt.Errorf("serve: artifact missing correspondence %s", key)
+			if pk = packed[key]; pk == nil {
+				pk = simfn.PackRows(corrs[key].RowsB)
+				packed[key] = pk
 			}
 			bn.dicts[i] = art.Dicts[key]
 		}
@@ -222,20 +268,10 @@ func (bn *Bundle) resolveFeatures() error {
 func (bn *Bundle) bindPlan() error {
 	flipped := make([]*feature.Feature, len(bn.blockingIdx))
 	for pos, fi := range bn.blockingIdx {
-		if fi < 0 || fi >= len(bn.feats) {
-			return fmt.Errorf("serve: blocking index %d out of range", fi)
-		}
 		// A and B columns swap roles: the spec's "A" side is the indexed B.
 		f := bn.feats[fi]
 		f.ACol, f.BCol = f.BCol, f.ACol
 		flipped[pos] = &f
-	}
-	for _, clause := range bn.cnf.Clauses {
-		for _, p := range clause {
-			if p.Feature < 0 || p.Feature >= len(flipped) {
-				return fmt.Errorf("serve: rule predicate on blocking feature %d, artifact has %d", p.Feature, len(flipped))
-			}
-		}
 	}
 	an := filters.Analyze(bn.cnf, flipped)
 
