@@ -42,12 +42,14 @@ test:
 # feature.Projection (its pooled value rows, the vectorizer's lazily built
 # columns), apply scores through it, and every filters.Walker owns a
 # range-probe bitmap — hence feature, model and filters beside the
-# engine and the serving packages. It also runs the vet engine's parallel
-# scheduler and cache under the detector: the serial/parallel/cached
-# byte-identity tests exercise every cross-task edge (fact shards,
-# lock-edge streams, diagnostics sinks).
+# engine and the serving packages; sample_pairs' gen-pairs tasks reuse
+# pooled shared-token counters across records and select_opt_seq reuses its
+# index buffers across subsets, hence sample and rulesel. It also runs the
+# vet engine's parallel scheduler and cache under the detector: the
+# serial/parallel/cached byte-identity tests exercise every cross-task edge
+# (fact shards, lock-edge streams, diagnostics sinks).
 race:
-	$(GO) test -race ./internal/service/... ./internal/mapreduce/... ./internal/core/... ./internal/serve/... ./internal/feature/... ./internal/model/... ./internal/filters/...
+	$(GO) test -race ./internal/service/... ./internal/mapreduce/... ./internal/core/... ./internal/serve/... ./internal/feature/... ./internal/model/... ./internal/filters/... ./internal/rulesel/... ./internal/sample/...
 	$(GO) test -race -run 'TestParallelByteIdentical|TestVetEquality|TestSiblingLockCycle|TestCacheInvalidationMatrix|TestDiffMode' ./internal/analysis/
 
 # bench-smoke vets and smoke-tests the repository benchmark (bash

@@ -1,13 +1,10 @@
 package analysis
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // preFlowSuite is the eight-analyzer suite as it stood before the
-// flow-sensitive layer landed; the overhead budget below is measured
-// against it.
+// flow-sensitive layer landed, the denominator BenchmarkVetTree reports the
+// later layers against.
 var preFlowSuite = []*Analyzer{
 	Determinism, TransDeterminism, CostAccounting, LockSafety,
 	ErrCheck, HotAlloc, CtxFlow, ScratchEscape,
@@ -102,45 +99,4 @@ func BenchmarkVetTree(b *testing.B) {
 			}
 		}
 	})
-}
-
-// TestVetOverheadWithinBudget pins the cost of everything added on top of
-// the pre-flow suite: a full-tree run of the fifteen-analyzer suite must
-// stay under 2.5x the wall time of the eight-analyzer suite it grew
-// from. The dataflow pass re-walks every function body (once — the
-// summaries are shared through the Run-wide cache), so some overhead is
-// expected. The budget started at 2x; the serving split moved it to 2.5x
-// because internal/serve is exactly the code shape the flow layer exists
-// for — //falcon:hotpath roots with deep transitive closures for
-// servebudget, a frozen Bundle constructor for immutpublish,
-// closure-heavy resolution for mrpurity — so it costs the flow analyzers
-// disproportionately more than it costs the pre-flow denominator. The
-// line that matters is the absolute one: the full gate stays near 100ms
-// for the whole module, cheap enough to run everywhere.
-func TestVetOverheadWithinBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmarks the whole module; skipped in -short")
-	}
-	l, err := sharedLoader()
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.Load([]string{"./..."})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	measure := func(analyzers []*Analyzer) time.Duration {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Run(analyzers, pkgs)
-			}
-		})
-		return time.Duration(r.NsPerOp())
-	}
-	pre := measure(preFlowSuite)
-	full := measure(All())
-	t.Logf("pre-flow suite %v, full suite %v (%.2fx)", pre, full, float64(full)/float64(pre))
-	if full > pre*5/2 {
-		t.Errorf("full suite takes %v, over the 2.5x budget of the pre-flow suite's %v", full, pre)
-	}
 }

@@ -5,17 +5,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 // This file tests the execution engine: the byte-identity of serial,
 // parallel, cold-cache, and warm-cache diagnostics; the cache
-// invalidation matrix; diff-mode package selection; and the warm-run
-// speedup the cache exists to deliver.
+// invalidation matrix; and diff-mode package selection.
 
 // flaggedFixtureDirs is the fixture corpus with known findings — the
 // byte-identity tests need non-empty diagnostics with cross-package
@@ -542,76 +539,5 @@ func TestSiblingLockCycle(t *testing.T) {
 	}
 	if len(oneCycles) != 1 || diagsFingerprint(t, oneCycles) != diagsFingerprint(t, cycles) {
 		t.Errorf("app-only run reports %v, want exactly the full run's cycle %v", oneCycles, cycles)
-	}
-}
-
-// TestParallelBeatsSerialCold asserts the DAG scheduler's point: with
-// real cores available, a cold parallel run over the module tree beats
-// the serial one. On a single-CPU machine the scheduler can only add
-// overhead (measured ≈4% on the tree), so the assertion needs ≥2.
-func TestParallelBeatsSerialCold(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmarks the whole module; skipped in -short")
-	}
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >1 CPU for a parallel win")
-	}
-	l, err := sharedLoader()
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.Load([]string{"./..."})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	measure := func(par int) time.Duration {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				RunPackages(All(), pkgs, Options{Parallel: par})
-			}
-		})
-		return time.Duration(r.NsPerOp())
-	}
-	serial := measure(1)
-	parallel := measure(8)
-	t.Logf("serial %v, parallel8 %v (%.2fx)", serial, parallel, float64(serial)/float64(parallel))
-	if parallel >= serial {
-		t.Errorf("parallel8 run %v does not beat serial %v", parallel, serial)
-	}
-}
-
-// TestWarmCacheSpeedup is the cache's reason to exist, asserted on the
-// module's own tree: a warm no-change run (scan + key probes + cached
-// diagnostics, no type-checking) must be at least 5x faster than the
-// cold run that populated the cache. Cold parallel vs serial is logged
-// alongside; on multi-core machines parallel must not lose.
-func TestWarmCacheSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	cacheDir := t.TempDir()
-	run := func(req VetRequest) (*VetResult, time.Duration) {
-		t.Helper()
-		start := time.Now()
-		res, err := Vet(req)
-		if err != nil {
-			t.Fatalf("Vet: %v", err)
-		}
-		return res, time.Since(start)
-	}
-	cold, coldDur := run(VetRequest{Dir: ".", Parallel: runtime.GOMAXPROCS(0), CacheDir: cacheDir})
-	if cold.FastPath {
-		t.Fatal("cold run claims the fast path")
-	}
-	warm, warmDur := run(VetRequest{Dir: ".", Parallel: runtime.GOMAXPROCS(0), CacheDir: cacheDir})
-	if !warm.FastPath {
-		t.Fatalf("warm no-change run did not take the fast path (analyzed %v)", warm.Analyzed)
-	}
-	if fpCold, fpWarm := diagsFingerprint(t, cold.Diags), diagsFingerprint(t, warm.Diags); fpCold != fpWarm {
-		t.Error("warm diagnostics differ from cold")
-	}
-	t.Logf("cold %v, warm %v (%.1fx)", coldDur, warmDur, float64(coldDur)/float64(warmDur))
-	if warmDur*5 > coldDur {
-		t.Errorf("warm run %v is not ≥5x faster than cold %v", warmDur, coldDur)
 	}
 }

@@ -10,10 +10,10 @@
 package sample
 
 import (
-	"cmp"
 	"context"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"falcon/internal/mapreduce"
@@ -73,6 +73,64 @@ func document(t *table.Table, row int, cols []int) []string {
 		vals[i] = t.Value(row, c)
 	}
 	return tokenize.Document(vals)
+}
+
+// probeScratch counts, for one b, the tokens each A tuple shares with d(b).
+// counts is dense over A's rows and all zero between records; touched lists
+// the rows with a non-zero count, so ranking and reset cost what the probe
+// touched, not |A|.
+type probeScratch struct {
+	counts  []int32
+	touched []int32
+	hist    []int32  // hist[c] = touched rows sharing exactly c tokens
+	keys    []uint64 // rows at or above the threshold, packed for sorting
+	ids     []int32
+}
+
+// add counts one posting list.
+func (s *probeScratch) add(ids []int32) {
+	for _, id := range ids {
+		if s.counts[id] == 0 {
+			s.touched = append(s.touched, id)
+		}
+		s.counts[id]++
+	}
+}
+
+// top returns the first k touched rows in (count desc, ID asc) order — all
+// of them when fewer were touched, and possibly more than k where counts tie
+// at the cut — and zeroes the counts for the next record. The result is
+// valid until the next call. A histogram of the counts gives the smallest
+// count still inside the top k; only rows at or above it are sorted.
+func (s *probeScratch) top(k int) []int32 {
+	maxC := int32(0)
+	for _, id := range s.touched {
+		maxC = max(maxC, s.counts[id])
+	}
+	s.hist = append(s.hist[:0], make([]int32, maxC+1)...)
+	for _, id := range s.touched {
+		s.hist[s.counts[id]]++
+	}
+	cut, above := maxC, 0
+	for ; cut > 1; cut-- {
+		if above += int(s.hist[cut]); above >= k {
+			break
+		}
+	}
+	s.keys = s.keys[:0]
+	for _, id := range s.touched {
+		if c := s.counts[id]; c >= cut {
+			s.keys = append(s.keys, uint64(maxC-c)<<32|uint64(id))
+		}
+		s.counts[id] = 0
+	}
+	s.touched = s.touched[:0]
+	slices.Sort(s.keys)
+	s.ids = s.ids[:0]
+	for _, key := range s.keys {
+		s.ids = append(s.ids, int32(key))
+	}
+	return s.ids
 }
 
 // Pairs draws the sample S from A×B. It returns the pairs and the modeled
@@ -138,7 +196,9 @@ func Pairs(ctx context.Context, cluster *mapreduce.Cluster, a, b *table.Table, c
 	perm := rng.Perm(b.Len())[:numB]
 	slices.Sort(perm) // deterministic split layout
 
-	// Job 2: generate pairs for each selected b.
+	// Job 2: generate pairs for each selected b. The shared-token counts
+	// live in pooled scratch — one per worker in flight, not one per record.
+	scratch := sync.Pool{New: func() any { return &probeScratch{counts: make([]int32, a.Len())} }}
 	genJob := mapreduce.MapOnlyJob[int, table.Pair]{
 		Name:   "sample-gen-pairs",
 		Splits: mapreduce.SplitSlice(perm, cluster.Slots()),
@@ -146,8 +206,8 @@ func Pairs(ctx context.Context, cluster *mapreduce.Cluster, a, b *table.Table, c
 			local := rand.New(rand.NewSource(cfg.Seed ^ (int64(bRow)+1)*0x5851F42D4C957F2D))
 			doc := document(b, bRow, bCols)
 			// Count shared tokens per A tuple via the inverted index.
-			//falcon:allow hotalloc sampling runs once per sampled B tuple, not per pair
-			counts := map[int32]int{}
+			s := scratch.Get().(*probeScratch)
+			defer scratch.Put(s)
 			var probeCost int64
 			for _, tok := range doc {
 				ids := inverted[tok]
@@ -155,26 +215,9 @@ func Pairs(ctx context.Context, cluster *mapreduce.Cluster, a, b *table.Table, c
 					continue
 				}
 				probeCost += int64(len(ids)) + 1
-				for _, id := range ids {
-					counts[id]++
-				}
+				s.add(ids)
 			}
 			ctx.AddCost(probeCost + int64(len(doc)))
-			// Rank X by shared-token count desc, ID asc.
-			type scored struct {
-				id    int32
-				count int
-			}
-			xs := make([]scored, 0, len(counts)) //falcon:allow hotalloc sampling stage, size varies per B tuple
-			for id, c := range counts {
-				xs = append(xs, scored{id, c})
-			}
-			slices.SortFunc(xs, func(a, b scored) int {
-				if c := cmp.Compare(b.count, a.count); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.id, b.id)
-			})
 			y := cfg.Y
 			if y > a.Len() {
 				y = a.Len()
@@ -184,13 +227,18 @@ func Pairs(ctx context.Context, cluster *mapreduce.Cluster, a, b *table.Table, c
 			if cfg.ExcludeSelf {
 				chosen[int32(bRow)] = true
 			}
+			// The top y1 by shared-token count desc, ID asc; the self slot
+			// can skip one, so the ranking goes one deeper.
 			taken := 0
-			for i := 0; i < len(xs) && taken < y1; i++ {
-				if chosen[xs[i].id] {
+			for _, id := range s.top(y1 + 1) {
+				if taken == y1 {
+					break
+				}
+				if chosen[id] {
 					continue
 				}
-				chosen[xs[i].id] = true
-				ctx.Output(table.Pair{A: int(xs[i].id), B: bRow})
+				chosen[id] = true
+				ctx.Output(table.Pair{A: int(id), B: bRow})
 				taken++
 			}
 			// Fill the rest with random A tuples not yet chosen.

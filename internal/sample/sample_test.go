@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"falcon/internal/datagen"
 	"falcon/internal/mapreduce"
 	"falcon/internal/table"
 )
@@ -203,6 +204,19 @@ func BenchmarkPairs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Pairs(context.Background(), mapreduce.Default(), ta, tb, Config{N: 5000, Y: 50, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSamplePairs draws the benchmark's sample: 100 000 pairs over
+// Songs 3000×3000.
+func BenchmarkSamplePairs(b *testing.B) {
+	d := datagen.Songs(3000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Pairs(context.Background(), mapreduce.Default(), d.A, d.B, Config{N: 100_000, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
